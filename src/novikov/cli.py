@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -56,6 +57,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_EXIT)
+
+
+def _attach_negative_values(argv):
+    """Rewrite ``--lambda -3/2`` as ``--lambda=-3/2``.
+
+    argparse reads a separate "-3/2", "-1+2j" or "-0.5,2" as an option name.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--lambda", "--lambda-grid") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _env_float(name: str):
@@ -416,7 +431,7 @@ def _parameters(args) -> dict:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command is None:
         parser.error("a command is required")
     if getattr(args, "tolerance", "absent") is None:

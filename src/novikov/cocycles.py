@@ -80,9 +80,6 @@ class OneCocycle:
     def edges(self):
         return sorted(self.values)
 
-    def max_abs(self):
-        return max((abs(v) for v in self.values.values()), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, OneCocycle)

@@ -132,9 +132,6 @@ class ProductComplex:
     def __setattr__(self, *a):
         raise AttributeError("ProductComplex is immutable")
 
-    def pair_index(self, a: int, b: int) -> int:
-        return a * self.right.vertex_count + b
-
     def pair(self, v: int) -> tuple[int, int]:
         return divmod(v, self.right.vertex_count)
 
@@ -182,9 +179,6 @@ class MappingTorus:
 
     def vertex_id(self, v: int, layer: int) -> int:
         return v * self.layers + layer % self.layers
-
-    def fiber_vertices(self, layer: int = 0):
-        return tuple(self.vertex_id(v, layer) for v in range(self.base.vertex_count))
 
 
 def _prism_chains(simplex, bottom_ids, top_ids):

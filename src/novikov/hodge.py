@@ -32,7 +32,7 @@ import numpy as np
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle
 from .errors import NormalizationError, NumericalError
-from .twisted import twisted_coboundary
+from .twisted import LocalSystemWeights, _coboundary_array
 
 __all__ = [
     "DEFAULT_HARMONIC_THRESHOLD",
@@ -97,11 +97,14 @@ def _resolve(k, weights) -> InnerProduct:
     return InnerProduct(k, weights)
 
 
-def _delta(k, theta, lam, p: int) -> np.ndarray:
-    lam = complex(lam)
-    if p < 0 or p > k.dim:
-        return np.zeros((0, k.n_simplices(p)))
-    return twisted_coboundary(k, theta, lam, p).to_numpy()
+def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
+    """Float coboundaries in the given degrees, each assembled once."""
+    weights = LocalSystemWeights(k, theta, complex(lam))
+    return [_coboundary_array(k, weights, p) for p in degrees]
+
+
+def _adjoint_of(d: np.ndarray, w: InnerProduct, p: int) -> np.ndarray:
+    return (d.conj().T * w.vector(p + 1)) / w.vector(p)[:, None]
 
 
 def adjoint(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) -> np.ndarray:
@@ -111,19 +114,14 @@ def adjoint(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) 
     constant cancels between the inverse on the left and the plain weight
     on the right.
     """
-    w = _resolve(k, weights)
-    d = _delta(k, theta, lam, p)
-    return (d.conj().T * w.vector(p + 1)) / w.vector(p)[:, None]
+    (d,) = _deltas(k, theta, lam, p)
+    return _adjoint_of(d, _resolve(k, weights), p)
 
 
 def laplacian(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) -> np.ndarray:
     w = _resolve(k, weights)
-    up = adjoint(k, theta, lam, p, w) @ _delta(k, theta, lam, p)
-    if p >= 1:
-        down = _delta(k, theta, lam, p - 1) @ adjoint(k, theta, lam, p - 1, w)
-    else:
-        down = np.zeros_like(up)
-    return up + down
+    below, here = _deltas(k, theta, lam, p - 1, p)
+    return _adjoint_of(here, w, p) @ here + below @ _adjoint_of(below, w, p - 1)
 
 
 def _symmetrized(k, theta, lam, p, w: InnerProduct) -> np.ndarray:
@@ -239,15 +237,14 @@ def hodge_decompose(
     if alpha.shape != (n,):
         raise ValueError(f"cochain has shape {alpha.shape}, need ({n},)")
     wv = w.vector(p)
-    exact = _weighted_projection(
-        alpha, _delta(k, theta, lam, p - 1) if p >= 1 else np.zeros((n, 0)), wv
-    )
-    coexact = _weighted_projection(alpha, adjoint(k, theta, lam, p, w), wv)
+    below, here = _deltas(k, theta, lam, p - 1, p)
+    exact = _weighted_projection(alpha, below, wv)
+    coexact = _weighted_projection(alpha, _adjoint_of(here, w, p), wv)
     harmonic = alpha - exact - coexact
     scale = max(float(np.linalg.norm(alpha)), 1.0)
     # the harmonic remainder must be killed by both operators
-    r1 = np.linalg.norm(_delta(k, theta, lam, p) @ harmonic)
-    r2 = np.linalg.norm(adjoint(k, theta, lam, p - 1, w) @ harmonic) if p >= 1 else 0.0
+    r1 = np.linalg.norm(here @ harmonic)
+    r2 = np.linalg.norm(_adjoint_of(below, w, p - 1) @ harmonic)
     residual = float(max(r1, r2) / scale)
     return HodgeParts(harmonic=harmonic, exact=exact, coexact=coexact, residual=residual)
 

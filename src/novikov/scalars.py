@@ -485,15 +485,6 @@ class Matrix:
                     out[robase + j] = out[robase + j] + a * b
         return Matrix(self.nrows, other.ncols, out)
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix difference")
-        ent = [a - b for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.nrows, self.ncols, ent)
-
-    def scale(self, s) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, [s * v for v in self.entries])
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
 
@@ -514,9 +505,6 @@ class Matrix:
             and self.shape == other.shape
             and all(a == b for a, b in zip(self.entries, other.entries))
         )
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, backend={self.backend})"
@@ -557,19 +545,10 @@ def _exact_rank_columns(columns) -> int:
     return rnk
 
 
-def _matrix_columns_sparse(m: Matrix, transposed: bool):
-    if transposed:
-        for i in range(m.nrows):
-            row = m.row(i)
-            yield {j: v for j, v in enumerate(row) if v != 0}
-    else:
-        for j in range(m.ncols):
-            col = {}
-            for i in range(m.nrows):
-                v = m.entries[i * m.ncols + j]
-                if v != 0:
-                    col[i] = v
-            yield col
+def _matrix_columns_sparse(m: Matrix):
+    """Columns of the transpose, i.e. the rows of m; rank is the same."""
+    for i in range(m.nrows):
+        yield {j: v for j, v in enumerate(m.row(i)) if v != 0}
 
 
 def _float_rank(a: np.ndarray, tolerance: float):
@@ -579,6 +558,8 @@ def _float_rank(a: np.ndarray, tolerance: float):
     when any singular value sits within a factor of ten of that cut, i.e.
     the answer would move under a modest tolerance change.
     """
+    if not tolerance > 0:
+        raise ValueError("float rank needs tolerance > 0")
     if a.size == 0:
         return 0, False
     s = np.linalg.svd(a, compute_uv=False)
@@ -613,14 +594,9 @@ def rank_with_flag(
     if mode == _EXACT or mode == _NF:
         if m.backend == _FLOAT:
             raise BackendMismatchError("exact rank requires exact entries")
-        if m.nrows == 0 or m.ncols == 0:
-            return 0, False
-        transposed = m.nrows < m.ncols
-        return _exact_rank_columns(_matrix_columns_sparse(m, transposed)), False
+        return _exact_rank_columns(_matrix_columns_sparse(m)), False
     if mode == _FLOAT:
         tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
-        if not tol > 0:
-            raise ValueError("float rank needs tolerance > 0")
         return _float_rank(m.to_numpy(), tol)
     raise ValueError(f"unknown rank mode {mode!r}")
 

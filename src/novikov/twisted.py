@@ -22,17 +22,21 @@ concurrent readers; results depend only on their arguments.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, validate_closed
-from .errors import BackendMismatchError
+from .errors import BackendMismatchError, NumericalError
 from .scalars import (
     DEFAULT_FLOAT_TOLERANCE,
     Matrix,
     NumberFieldElement,
-    rank_with_flag,
+    _exact_rank_columns,
+    _float_rank,
     scalar_backend,
     scalar_literal,
 )
@@ -61,6 +65,8 @@ class LocalSystemWeights:
         backend = scalar_backend(lam)
         if lam == 0:
             raise ValueError("monodromy parameter lambda must be nonzero")
+        if backend == "float" and not cmath.isfinite(lam):
+            raise ValueError(f"monodromy parameter lambda must be finite, got {lam!r}")
         if backend in ("exact", "nf") and theta.mode != "exact":
             raise BackendMismatchError(
                 "exact lambda needs an integer cocycle; use float lambda "
@@ -79,9 +85,15 @@ class LocalSystemWeights:
     def weight(self, u: int, v: int):
         """Transport weight along the oriented edge u -> v."""
         e = self.theta.value(u, v)
-        if self.backend == "float":
-            return complex(self.lam) ** complex(e)
-        return self.lam ** e
+        if self.backend != "float":
+            return self.lam ** e
+        try:
+            w = complex(self.lam) ** complex(e)
+            if cmath.isfinite(w):
+                return w
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise NumericalError(f"lambda**theta on edge ({u}, {v}) leaves the float range")
 
     def one(self):
         if self.backend == "float":
@@ -91,37 +103,55 @@ class LocalSystemWeights:
         return Fraction(1)
 
 
+def _coboundary_rows(k: SimplicialComplex, weights: LocalSystemWeights, p: int):
+    """delta_p as sparse rows, one {column: entry} dict per (p+1)-simplex.
+
+    This is the only code that computes coboundary entries.  Face 0 carries
+    the transport weight of the leading edge and face i the sign (-1)^i, so
+    a row has p+2 entries.  Exact entries are Fraction or NumberFieldElement,
+    never a plain int, which would turn exact elimination into float
+    arithmetic; float entries are complex.
+    """
+    if p < 0 or p > k.dim:
+        raise ValueError(f"degree {p} out of range for dim {k.dim}")
+    one = weights.one()
+    signs = (one, 0 - one)  # not -one, whose float form has a -0.0 imaginary part
+    index = k._index[p]
+    rows = []
+    for tau in k.simplices[p + 1] if p < k.dim else ():
+        row = {index[tau[1:]]: weights.weight(tau[0], tau[1])}
+        for i in range(1, len(tau)):
+            row[index[tau[:i] + tau[i + 1 :]]] = signs[i % 2]
+        rows.append(row)
+    return rows
+
+
+def _coboundary_array(k: SimplicialComplex, weights: LocalSystemWeights, p: int):
+    """Dense complex delta_p; outside degrees 0..dim it is the zero map."""
+    a = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=complex)
+    if 0 <= p <= k.dim:
+        for r, row in enumerate(_coboundary_rows(k, weights, p)):
+            a[r, list(row)] = list(row.values())
+    return a
+
+
 def twisted_coboundary(
     k: SimplicialComplex, theta: OneCocycle, lam, p: int
 ) -> Matrix:
     """Matrix of delta_p : C^p -> C^{p+1} for the twisted complex.
 
     Rows are (p+1)-simplices, columns are p-simplices.  Degrees outside
-    0..dim-1 give empty matrices of the right shape.
+    0..dim-1 give empty matrices of the right shape.  The rank and Hodge
+    pipelines read the sparse assembly directly; this densifies it.
     """
-    weights = (
-        lam if isinstance(lam, LocalSystemWeights)
-        else LocalSystemWeights(k, theta, lam)
-    )
-    if p < 0 or p > k.dim:
-        raise ValueError(f"degree {p} out of range for dim {k.dim}")
-    rows = k.n_simplices(p + 1)
+    weights = LocalSystemWeights(k, theta, lam)
+    rows = _coboundary_rows(k, weights, p)
     cols = k.n_simplices(p)
-    zero = Fraction(0) if weights.backend != "float" else 0j
-    ent = [zero] * (rows * cols)
-    if rows and cols:
-        index = k._index[p]
-        for r, tau in enumerate(k.simplices[p + 1]):
-            # face 0 picks up the transport weight, the rest alternate signs
-            face0 = tau[1:]
-            ent[r * cols + index[face0]] = weights.weight(tau[0], tau[1])
-            sign = -1
-            for i in range(1, len(tau)):
-                face = tau[:i] + tau[i + 1 :]
-                c = index[face]
-                ent[r * cols + c] = ent[r * cols + c] + sign
-                sign = -sign
-    return Matrix(rows, cols, ent)
+    ent = [Fraction(0) if weights.backend != "float" else 0j] * (len(rows) * cols)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            ent[r * cols + c] = v
+    return Matrix(len(rows), cols, ent)
 
 
 @dataclass(frozen=True)
@@ -173,8 +203,10 @@ def betti_profile(
     ranks = []
     ill_any = False
     for p in range(k.dim + 1):
-        delta = twisted_coboundary(k, theta, weights, p)
-        r, ill = rank_with_flag(delta, tolerance=tol)
+        if is_float:
+            r, ill = _float_rank(_coboundary_array(k, weights, p), tol)
+        else:
+            r, ill = _exact_rank_columns(_coboundary_rows(k, weights, p)), False
         ranks.append(r)
         ill_any = ill_any or ill
     dims = []
@@ -192,12 +224,6 @@ def betti_profile(
     )
 
 
-def _invert_lambda(lam):
-    if scalar_backend(lam) == "float":
-        return 1.0 / complex(lam)
-    return 1 / lam
-
-
 def duality_check(
     k: SimplicialComplex,
     theta: OneCocycle,
@@ -212,7 +238,7 @@ def duality_check(
     """
     n = k.dim
     a = betti_profile(k, theta, lam, tolerance=tolerance)
-    b = betti_profile(k, theta, _invert_lambda(lam), tolerance=tolerance)
+    b = betti_profile(k, theta, 1 / lam, tolerance=tolerance)
     return all(a.dims[p] == b.dims[n - p] for p in range(n + 1))
 
 

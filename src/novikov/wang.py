@@ -28,7 +28,7 @@ from .scalars import (
     Matrix,
     kernel_basis,
     kernel_dim,
-    rank,
+    matrix_rref,
     scalar_backend,
     scalar_literal,
     solve_linear,
@@ -201,7 +201,8 @@ def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyA
     """Pullback action of an automorphism on rational cohomology.
 
     Degree by degree: take the kernel of the coboundary, complete the image
-    of the previous coboundary to a basis of it, push each representative
+    of the previous coboundary to a basis of it with the kernel vectors that
+    are rref pivots of [image | kernel], push each representative
     through the cochain pullback, and solve for its coordinates in that
     basis again.  The coordinate blocks on the representatives are the
     action matrices.
@@ -217,15 +218,8 @@ def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyA
         cocycles = kernel_basis(delta)
         prev = _coboundary(k, p - 1) if p >= 1 else Matrix(n, 0, [])
         bounding = [list(prev.transpose().row(j)) for j in range(prev.ncols)]
-        span = list(bounding)
-        span_rank = rank(_from_columns(span, n)) if span else 0
-        reps = []
-        for z in cocycles:
-            trial = span + [z]
-            r = rank(_from_columns(trial, n))
-            if r > span_rank:
-                span, span_rank = trial, r
-                reps.append(z)
+        _, pivots = matrix_rref(_from_columns(bounding + cocycles, n))
+        reps = [cocycles[c - len(bounding)] for c in pivots if c >= len(bounding)]
         frame = _from_columns(bounding + reps, n)
         cols = []
         pull = pullback_matrix(k, phi, p)

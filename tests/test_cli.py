@@ -176,12 +176,62 @@ def test_validation_errors_exit_2(tmp_path):
         "--map", str(FIXTURES / "torus2_flip_map.json"),
         "--layers", "2", "--lambda", "1",
     ).returncode == 2
+    circle3 = str(FIXTURES / "circle3.json")
+    for argv in (
+        ("betti", "--complex", circle3, "--lambda", "inf"),
+        ("hodge", "--complex", circle3, "--lambda", "inf"),
+        ("betti", "--complex", circle3, "--lambda", "nan"),
+        ("betti", "--complex", circle3, "--lambda", "1.0", "--tolerance", "0"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert b"Traceback" not in proc.stderr
 
 
-def test_numerical_errors_exit_3():
+def test_numerical_errors_exit_3(tmp_path):
     proc = run_cli("bounds", "--n", "20", "--b", "1000")
     assert proc.returncode == 3
     assert b"numerical" in proc.stderr
+    # 10.0 ** 400 overflows a double
+    steep = tmp_path / "steep.json"
+    steep.write_text(
+        json.dumps(
+            {
+                "format": "novikov/complex",
+                "schema": "v1",
+                "vertex_count": 3,
+                "maximal_simplices": [[0, 1], [1, 2], [0, 2]],
+                "cocycle": {
+                    "mode": "exact",
+                    "values": [[0, 1, 400], [0, 2, 401], [1, 2, 1]],
+                },
+            }
+        )
+    )
+    for command in ("betti", "hodge"):
+        proc = run_cli(command, "--complex", str(steep), "--lambda", "10.0")
+        assert proc.returncode == 3, command
+        assert b"numerical" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+
+def test_negative_literals_follow_lambda_as_separate_arguments(tmp_path):
+    circle3 = str(FIXTURES / "circle3.json")
+    for option, value in (
+        ("--lambda", "-3/2"),
+        ("--lambda", "-1+2j"),
+        ("--lambda-grid", "-0.5,2"),
+    ):
+        separate = report_of(run_cli("betti", "--complex", circle3, option, value))
+        joined = report_of(run_cli("betti", "--complex", circle3, f"{option}={value}"))
+        lambdas = [p["lambda"] for p in separate["results"]["profiles"]]
+        assert lambdas == [p["lambda"] for p in joined["results"]["profiles"]]
+        assert separate["parameters"] == joined["parameters"]
+    out1, out2 = tmp_path / "separate.json", tmp_path / "joined.json"
+    args = ("betti", "--complex", circle3)
+    assert run_cli(*args, "--lambda", "-3/2", "--output", str(out1)).returncode == 0
+    assert run_cli(*args, "--lambda=-3/2", "--output", str(out2)).returncode == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_tolerance_env_override():

@@ -17,6 +17,7 @@ from novikov.hodge import (
     spectral_gap,
     volume,
 )
+from novikov import twisted
 from novikov.twisted import betti_profile, twisted_coboundary
 
 
@@ -255,3 +256,22 @@ def test_degenerate_degrees():
     k = product(circle(3), circle(3)).complex
     assert laplacian(c, ct, 2.0, 1).shape == (3, 3)
     assert k.n_simplices(2) == 18
+
+def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
+    k, theta = torus_fixture()
+    degrees = []
+    assemble = twisted._coboundary_rows
+
+    def counting(k_, weights, p):
+        degrees.append(p)
+        return assemble(k_, weights, p)
+
+    monkeypatch.setattr(twisted, "_coboundary_rows", counting)
+    for p in range(k.dim + 1):
+        expected = [p - 1, p] if p else [0]
+        degrees.clear()
+        laplacian(k, theta, 2.0, p)
+        assert sorted(degrees) == expected
+        degrees.clear()
+        hodge_decompose(k, theta, 2.0, p, np.ones(k.n_simplices(p)))
+        assert sorted(degrees) == expected

@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform
 from novikov.complexes import SimplicialComplex, circle, sphere_boundary
+from novikov.constructions import cyclic_cover, torus_grid
 from novikov.errors import BackendMismatchError
-from novikov.scalars import Matrix, NumberFieldElement, parse_scalar
+from novikov.hodge import hodge_decompose, laplacian_spectrum
+from novikov.scalars import Matrix, NumberFieldElement, parse_scalar, rank_with_flag
 from novikov.twisted import (
     BettiProfile,
     LocalSystemWeights,
+    _coboundary_rows,
     betti_profile,
     duality_check,
     kunneth_check,
@@ -238,3 +244,98 @@ def test_profile_json_shape():
     assert out["backend"] == "exact"
     assert out["tolerance"] is None
     assert out["ill_conditioned"] is False
+
+
+def winding_torus(m, winding=1):
+    """torus_grid(m) with holonomy `winding` around the first grid circle."""
+    k = torus_grid(m)
+
+    def step(d):
+        d %= m
+        return d - m if d > 1 else d
+
+    return k, OneCocycle(
+        {(u, v): winding * step(v // m - u // m) for (u, v) in k.edges}
+    )
+
+
+def gauged(k, theta, seed):
+    rng = random.Random(seed)
+    f = ZeroCochain({v: rng.randrange(-4, 5) for v in range(k.vertex_count)})
+    return gauge_transform(theta, f)
+
+
+NF_LAMBDA = "nf:x^2-3*x+1:x"
+
+
+def test_exact_assembly_entries_are_field_elements():
+    # a plain int entry would make 1 / col[low] in exact elimination a float
+    k, theta = winding_torus(3)
+    theta = gauged(k, theta, 5)
+    cases = (
+        (1, Fraction),
+        (Fraction(-7, 9), Fraction),
+        (parse_scalar(NF_LAMBDA), NumberFieldElement),
+        (0.625, complex),
+    )
+    for lam, kind in cases:
+        weights = LocalSystemWeights(k, theta, lam)
+        for p in range(k.dim + 1):
+            rows = _coboundary_rows(k, weights, p)
+            assert len(rows) == k.n_simplices(p + 1)
+            for row in rows:
+                assert len(row) == p + 2
+                assert all(type(v) is kind for v in row.values())
+
+
+def dense_route_dims(k, theta, lam):
+    ranks = [
+        rank_with_flag(twisted_coboundary(k, theta, lam, p))[0]
+        for p in range(k.dim + 1)
+    ]
+    return tuple(
+        k.n_simplices(p) - ranks[p] - (ranks[p - 1] if p else 0)
+        for p in range(k.dim + 1)
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(("circle", "torus", "cover")),
+    m=st.integers(3, 4),
+    sheets=st.integers(2, 3),
+    winding=st.integers(-2, 2),
+    seed=st.integers(0, 2**16),
+    lam=st.sampled_from(
+        (Fraction(1), Fraction(2), Fraction(-7, 9), NF_LAMBDA, 0.625, 1.0, -1.0 + 0.5j)
+    ),
+)
+def test_sparse_profile_matches_dense_route(shape, m, sheets, winding, seed, lam):
+    if shape == "circle":
+        k = circle(m + 2)
+        theta = full_theta(k, {(0, 1): winding})
+    else:
+        k, theta = winding_torus(m, winding)
+        if shape == "cover":
+            cover = cyclic_cover(k, theta, sheets)
+            k, theta = cover.complex, cover.theta_lift
+    theta = gauged(k, theta, seed)
+    if lam == NF_LAMBDA:
+        lam = parse_scalar(lam)
+    assert betti_profile(k, theta, lam).dims == dense_route_dims(k, theta, lam)
+
+
+def test_pipelines_build_no_dense_matrix(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a dense Matrix was built")
+
+    k, theta = winding_torus(3)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    assert betti_profile(k, theta, Fraction(1)).dims == (1, 2, 1)
+    assert betti_profile(k, theta, Fraction(2)).dims == (0, 0, 0)
+    assert betti_profile(k, theta, parse_scalar(NF_LAMBDA)).dims == (0, 0, 0)
+    assert betti_profile(k, theta, 0.625).dims == (0, 0, 0)
+    for p in range(k.dim + 1):
+        assert laplacian_spectrum(k, theta, 1.0, p).size == k.n_simplices(p)
+        parts = hodge_decompose(k, theta, 0.625, p, np.ones(k.n_simplices(p)))
+        assert parts.residual < 1e-9
