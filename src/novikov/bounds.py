@@ -143,7 +143,8 @@ def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
 
     hi = 1.0
     for _ in range(200):
-        if value(hi) > omega:
+        integral = _root_integral(n, b, hi, tol)
+        if hi * integral > omega:
             break
         hi *= 2
     else:
@@ -151,7 +152,7 @@ def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
     # the root can sit dozens of orders of magnitude below hi (the integral
     # grows like cosh(b)^{n-1}), so bracket and polish in log coordinates,
     # where plain bisection and Newton steps stay well conditioned
-    lo = omega / _root_integral(n, b, hi, tol)
+    lo = omega / integral
     for _ in range(80):
         mid = math.sqrt(lo * hi)
         if value(mid) > omega:
@@ -162,14 +163,14 @@ def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
             break
     x = math.sqrt(lo * hi)
     for _ in range(60):
-        v = value(x)
+        integral = _root_integral(n, b, x, tol)
+        v = x * integral
         if abs(v - omega) <= config.root_tol:
             return x
         if v > omega:
             hi = x
         else:
             lo = x
-        integral = _root_integral(n, b, x, tol)
         slope = integral + x * _root_integral_dx(n, b, x, tol)
         x_new = x * math.exp(-math.log(v / omega) * integral / slope)
         x = x_new if lo < x_new < hi else math.sqrt(lo * hi)

@@ -29,8 +29,8 @@ from .errors import NovikovError, NumericalError
 from .hodge import (
     DEFAULT_HARMONIC_THRESHOLD,
     InnerProduct,
-    harmonic_dim,
-    spectral_gap,
+    _dim_and_gap,
+    laplacian_spectrum,
 )
 from .scalars import parse_scalar, scalar_literal
 from .serialization import (
@@ -347,11 +347,15 @@ def _run_hodge(args, parser):
             raise NovikovError(
                 "the spectral pipeline is float-only; lambda must be real or complex"
             ) from None
-        dims = [
-            harmonic_dim(k, theta, lam, p, weights, threshold) for p in range(k.dim + 1)
-        ]
-        gaps = [spectral_gap(k, theta, lam, p, weights, threshold) for p in range(k.dim + 1)]
-        entries.append({"lambda": lit, "harmonic_dims": dims, "spectral_gaps": gaps})
+        except OverflowError:
+            raise NumericalError("lambda leaves the float range") from None
+        dims, gaps = zip(*(
+            _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)
+            for p in range(k.dim + 1)
+        ))
+        entries.append(
+            {"lambda": lit, "harmonic_dims": list(dims), "spectral_gaps": list(gaps)}
+        )
     results = {"threshold": threshold, "entries": entries}
     table = _table(
         ("lambda", "harmonic dims", "gaps"),

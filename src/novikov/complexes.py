@@ -113,24 +113,18 @@ class SimplicialComplex:
         return self.simplices[1] if self.dim >= 1 else ()
 
     def maximal_simplices(self):
-        """Simplices that are not a proper face of another simplex."""
+        """Simplices that are not a proper face of another simplex.
+
+        The complex is face-closed, so a p-simplex is maximal iff it is not
+        a facet of any (p+1)-simplex.  Levels are sorted, which keeps the
+        result in (length, lexicographic) order.
+        """
         out = []
-        for p in range(self.dim, -1, -1):
-            for s in self.simplices[p]:
-                if p == self.dim:
-                    out.append(s)
-                    continue
-                covered = False
-                for q in range(p + 1, self.dim + 1):
-                    for t in self.simplices[q]:
-                        if set(s) <= set(t):
-                            covered = True
-                            break
-                    if covered:
-                        break
-                if not covered:
-                    out.append(s)
-        return sorted(out, key=lambda s: (len(s), s))
+        for p, level in enumerate(self.simplices):
+            above = self.simplices[p + 1] if p < self.dim else ()
+            facets = {t[:i] + t[i + 1 :] for t in above for i in range(len(t))}
+            out.extend(s for s in level if s not in facets)
+        return out
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * c for p, c in enumerate(self.counts()))

@@ -211,7 +211,6 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
         return v * layers + r
 
     maximal = []
-    tower = []
     for s in base.maximal_simplices():
         for level in range(layers):
             bottom = [vid(v, level) for v in s]
@@ -220,21 +219,13 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
             else:
                 top = [vid(phi.image_vertex(v), 0) for v in s]
             maximal.extend(_prism_chains(s, bottom, top))
-            # unglued control tower, used only for the count check
-            tower.extend(
-                _prism_chains(
-                    s,
-                    [v * (layers + 1) + level for v in s],
-                    [v * (layers + 1) + level + 1 for v in s],
-                )
-            )
     glued = SimplicialComplex.build(maximal, vertex_count=base.vertex_count * layers)
-    control = SimplicialComplex.build(
-        tower, vertex_count=base.vertex_count * (layers + 1)
-    )
-    base_counts = base.counts() + (0,)
+    # each layer adds a copy of the base plus, in dimension r, r staircase
+    # simplices over every r-simplex of the base (one per step position)
+    # and r over every (r-1)-simplex (one per vertex taken on both levels)
+    f = base.counts() + (0,)
     expect = tuple(
-        control.counts()[r] - base_counts[r] for r in range(len(control.counts()))
+        layers * ((r + 1) * f[r] + r * f[r - 1]) for r in range(len(glued.counts()))
     )
     if glued.counts() != expect:
         raise ConstructionError(

@@ -158,6 +158,19 @@ def _harmonic_cut(sing: np.ndarray, threshold: float) -> float:
     return max(threshold, floor) * sing.max()
 
 
+def _dim_and_gap(spectrum: np.ndarray, threshold: float):
+    """Harmonic dimension and spectral gap of one Laplacian spectrum."""
+    sing = _singular_values(spectrum)
+    if sing.size == 0:
+        return 0, None
+    if sing.max() == 0:
+        return sing.size, None
+    cut = _harmonic_cut(sing, threshold)
+    above = spectrum[sing > cut]
+    gap = float(above.min()) if above.size else None
+    return int(np.count_nonzero(sing <= cut)), gap
+
+
 def harmonic_dim(
     k: SimplicialComplex,
     theta: OneCocycle,
@@ -167,12 +180,7 @@ def harmonic_dim(
     threshold: float = DEFAULT_HARMONIC_THRESHOLD,
 ) -> int:
     """Dimension of the harmonic space, counted on the singular-value scale."""
-    sing = _singular_values(laplacian_spectrum(k, theta, lam, p, weights))
-    if sing.size == 0:
-        return 0
-    if sing.max() == 0:
-        return sing.size
-    return int(np.count_nonzero(sing <= _harmonic_cut(sing, threshold)))
+    return _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)[0]
 
 
 def spectral_gap(
@@ -184,12 +192,7 @@ def spectral_gap(
     threshold: float = DEFAULT_HARMONIC_THRESHOLD,
 ):
     """Smallest nonzero Laplacian eigenvalue in degree p, None if all zero."""
-    spectrum = laplacian_spectrum(k, theta, lam, p, weights)
-    sing = _singular_values(spectrum)
-    if sing.size == 0 or sing.max() == 0:
-        return None
-    above = spectrum[sing > _harmonic_cut(sing, threshold)]
-    return float(above.min()) if above.size else None
+    return _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)[1]
 
 
 @dataclass(frozen=True)

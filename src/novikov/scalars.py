@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BackendMismatchError, ReducibilityError
+from .errors import BackendMismatchError, NumericalError, ReducibilityError
 
 __all__ = [
     "MinimalPolynomial",
@@ -376,7 +376,7 @@ class Matrix:
 
     __slots__ = ("nrows", "ncols", "entries", "backend", "minpoly")
 
-    def __init__(self, nrows, ncols, entries, backend=None):
+    def __init__(self, nrows, ncols, entries):
         entries = list(entries)
         if len(entries) != nrows * ncols:
             raise ValueError(
@@ -405,13 +405,6 @@ class Matrix:
             inferred = _FLOAT
         else:
             inferred = _EXACT
-        if backend is not None and backend != inferred:
-            if backend == _FLOAT and inferred == _EXACT:
-                inferred = _FLOAT
-            else:
-                raise BackendMismatchError(
-                    f"requested backend {backend!r} but entries are {inferred!r}"
-                )
         if inferred == _NF:
             entries = [
                 v if isinstance(v, NumberFieldElement)
@@ -435,14 +428,14 @@ class Matrix:
         self.minpoly = minpoly
 
     @classmethod
-    def from_rows(cls, rows, backend=None) -> "Matrix":
+    def from_rows(cls, rows) -> "Matrix":
         rows = [list(r) for r in rows]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         flat = [v for r in rows for v in r]
-        return cls(nrows, ncols, flat, backend=backend)
+        return cls(nrows, ncols, flat)
 
     @classmethod
     def zeros(cls, nrows, ncols) -> "Matrix":
@@ -695,6 +688,14 @@ def solve_linear(m: Matrix, rhs):
 # scalar literals
 
 
+def _float_of(value) -> float:
+    """float(value), with NumericalError when it leaves the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NumericalError("exact scalar leaves the float range") from None
+
+
 def parse_scalar(text: str, backend: str | None = None):
     """Parse a scalar literal.
 
@@ -721,7 +722,7 @@ def parse_scalar(text: str, backend: str | None = None):
         except ValueError as exc:
             raise ValueError(f"cannot parse scalar literal {text!r}") from exc
     if backend == _FLOAT and isinstance(value, Fraction):
-        return float(value)
+        return _float_of(value)
     if backend in (_EXACT, None) and isinstance(value, Fraction):
         return value
     if backend == _EXACT and not isinstance(value, Fraction):

@@ -36,6 +36,7 @@ from .scalars import (
     Matrix,
     NumberFieldElement,
     _exact_rank_columns,
+    _float_of,
     _float_rank,
     scalar_backend,
     scalar_literal,
@@ -191,7 +192,7 @@ def betti_profile(
     singular value fell near the rank cut (float mode only).
     """
     if backend == "float" and scalar_backend(lam) == "exact":
-        lam = float(lam)
+        lam = _float_of(lam)
     weights = LocalSystemWeights(k, theta, lam)
     if backend is not None and backend != weights.backend:
         raise BackendMismatchError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cocycles import zero_cocycle
 from .complexes import SimplicialComplex
 from .constructions import SimplicialMap
 from .errors import ConstructionError
@@ -33,6 +34,7 @@ from .scalars import (
     scalar_literal,
     solve_linear,
 )
+from .twisted import twisted_coboundary
 
 __all__ = [
     "FiberCohomologyAction",
@@ -144,8 +146,7 @@ def wang_dims(
             nulls.append(0)
             continue
         shifted = _shifted_block(block, lam)
-        mode = "float" if shifted.backend == "float" else None
-        nulls.append(kernel_dim(shifted, mode=mode, tolerance=tol))
+        nulls.append(kernel_dim(shifted, tolerance=tol))
     dims = []
     for p in range(action.top_degree + 2):
         here = nulls[p] if p <= action.top_degree else 0
@@ -169,12 +170,6 @@ def _sort_sign(seq) -> int:
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def _coboundary(k: SimplicialComplex, p: int) -> Matrix:
-    if p < k.dim:
-        return k.boundary_matrix(p + 1).transpose()
-    return Matrix(0, k.n_simplices(p), [])
 
 
 def _from_columns(cols, nrows) -> Matrix:
@@ -211,13 +206,14 @@ def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyA
         raise ConstructionError("induced_action needs a self-map of k")
     if not phi.is_isomorphism():
         raise ConstructionError("induced_action needs a simplicial isomorphism")
+    zero = zero_cocycle(k)
+    deltas = [twisted_coboundary(k, zero, Fraction(1), p) for p in range(k.dim + 1)]
     blocks = []
-    for p in range(k.dim + 1):
-        delta = _coboundary(k, p)
+    for p, delta in enumerate(deltas):
         n = k.n_simplices(p)
         cocycles = kernel_basis(delta)
-        prev = _coboundary(k, p - 1) if p >= 1 else Matrix(n, 0, [])
-        bounding = [list(prev.transpose().row(j)) for j in range(prev.ncols)]
+        prev = deltas[p - 1] if p >= 1 else Matrix(n, 0, [])
+        bounding = prev.transpose().rows()
         _, pivots = matrix_rref(_from_columns(bounding + cocycles, n))
         reps = [cocycles[c - len(bounding)] for c in pivots if c >= len(bounding)]
         frame = _from_columns(bounding + reps, n)

@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from novikov import bounds
 from novikov.bounds import (
     BoundsConfig,
     b_n,
@@ -56,6 +57,21 @@ def test_c_of_b_residuals_against_independent_quadrature():
             epsrel=1e-13,
         )
         assert abs(x * integral - wallis(n)) < 1e-12, (n, b)
+
+
+def test_c_of_b_runs_each_quadrature_once(monkeypatch):
+    calls = []
+    integrate = bounds._root_integral
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(bounds, "_root_integral", counting)
+    for n in (3, 4, 5):
+        for b in (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
+            c_of_b(n, b)
+    assert len(set(calls)) == len(calls)
 
 
 def test_c_of_b_decreasing_in_b():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from novikov import cli, hodge
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -208,11 +210,35 @@ def test_numerical_errors_exit_3(tmp_path):
             }
         )
     )
-    for command in ("betti", "hodge"):
-        proc = run_cli(command, "--complex", str(steep), "--lambda", "10.0")
-        assert proc.returncode == 3, command
+    huge = "1" + "0" * 400  # an exact literal past the largest double
+    circle3 = str(FIXTURES / "circle3.json")
+    for argv in (
+        ("betti", "--complex", str(steep), "--lambda", "10.0"),
+        ("hodge", "--complex", str(steep), "--lambda", "10.0"),
+        ("betti", "--complex", circle3, "--backend", "float", "--lambda", huge),
+        ("hodge", "--complex", circle3, "--lambda", huge),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3, argv
         assert b"numerical" in proc.stderr
         assert b"Traceback" not in proc.stderr
+
+
+def test_hodge_solves_each_laplacian_spectrum_once(monkeypatch, capsys):
+    degrees = []
+    solve = hodge.laplacian_spectrum
+
+    def counting(k, theta, lam, p, weights=None):
+        degrees.append(p)
+        return solve(k, theta, lam, p, weights)
+
+    monkeypatch.setattr(hodge, "laplacian_spectrum", counting)
+    monkeypatch.setattr(cli, "laplacian_spectrum", counting, raising=False)
+    argv = ["hodge", "--complex", str(FIXTURES / "torus2.json")]
+    assert cli.main(argv + ["--lambda", "1.0", "--lambda", "2.0"]) == 0
+    assert degrees == [0, 1, 2] * 2
+    entries = json.loads(capsys.readouterr().out)["results"]["entries"]
+    assert [e["harmonic_dims"] for e in entries] == [[1, 2, 1], [0, 0, 0]]
 
 
 def test_negative_literals_follow_lambda_as_separate_arguments(tmp_path):

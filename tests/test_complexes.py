@@ -118,6 +118,40 @@ def test_maximal_simplices_roundtrip():
         assert again == k
 
 
+def _maximal_by_subset_scan(k):
+    """Reference rule: a simplex is maximal iff no higher simplex contains it."""
+    out = []
+    for p in range(k.dim, -1, -1):
+        for s in k.simplices[p]:
+            covered = any(
+                set(s) <= set(t)
+                for q in range(p + 1, k.dim + 1)
+                for t in k.simplices[q]
+            )
+            if not covered:
+                out.append(s)
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+def test_maximal_simplices_match_subset_scan_on_non_pure_complexes():
+    rng = random.Random(23)
+    fixtures = [point(), circle(4), sphere_boundary(3), path_complex(3)]
+    fixtures.append(SimplicialComplex.build([], vertex_count=0))
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        maximal = [
+            tuple(rng.sample(range(n), rng.randint(1, min(n, 5))))
+            for _ in range(rng.randint(0, 7))
+        ]
+        fixtures.append(SimplicialComplex.build(maximal, vertex_count=n + rng.randint(0, 2)))
+    pure = 0
+    for k in fixtures:
+        found = k.maximal_simplices()
+        assert found == _maximal_by_subset_scan(k), k
+        pure += len({len(s) for s in found}) == 1
+    assert pure < len(fixtures) // 2  # mostly non-pure, isolated vertices included
+
+
 def test_boundary_matrix_cached():
     k = sphere_boundary(2)
     assert k.boundary_matrix(2) is k.boundary_matrix(2)

@@ -1,7 +1,11 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from novikov import constructions
 from novikov.cocycles import OneCocycle, holonomy, zero_cocycle
 from novikov.complexes import SimplicialComplex, circle, point
 from novikov.constructions import (
@@ -14,7 +18,10 @@ from novikov.constructions import (
     torus_grid_map,
 )
 from novikov.errors import ConstructionError, InvalidMapError
+from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, kunneth_check
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def winding_theta(m, w=1):
@@ -154,6 +161,69 @@ def test_mapping_torus_rejections():
         mapping_torus(c, collapse, layers=3)
     with pytest.raises(ConstructionError):
         mapping_torus(point(), ident, layers=3)
+
+
+def _unglued_tower_counts(base, layers):
+    """Counts of `layers` stacked prisms over the base, less the top copy.
+
+    The seam identifies the top copy of the base with the bottom one, so
+    this is what the glued mapping torus must count.
+    """
+    tower = []
+    for s in base.maximal_simplices():
+        for level in range(layers):
+            bottom = [v * (layers + 1) + level for v in s]
+            top = [v * (layers + 1) + level + 1 for v in s]
+            tower += [tuple(bottom[: i + 1] + top[i:]) for i in range(len(s))]
+    counts = SimplicialComplex.build(
+        tower, vertex_count=base.vertex_count * (layers + 1)
+    ).counts()
+    base_counts = base.counts() + (0,)
+    return tuple(c - base_counts[r] for r, c in enumerate(counts))
+
+
+def test_mapping_torus_counts_match_an_unglued_tower():
+    rng = random.Random(31)
+    gluings = []
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        maximal = [
+            tuple(rng.sample(range(n), rng.randint(1, min(n, 4))))
+            for _ in range(rng.randint(0, 5))
+        ]
+        k = SimplicialComplex.build(maximal, vertex_count=n + rng.randint(0, 1))
+        gluings.append((k, SimplicialMap(k, k, range(k.vertex_count)), (3, 4)))
+    torus2, _ = load_complex(FIXTURES / "torus2.json")
+    flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text())
+    gluings.append((torus2, SimplicialMap(torus2, torus2, flip), (3, 4, 5)))
+    grid = torus_grid(3)
+    for matrix in ([[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, -1], [1, 0]]):
+        gluings.append((grid, torus_grid_map(3, matrix), (3, 4, 5)))
+    for base, phi, layer_counts in gluings:
+        for layers in layer_counts:
+            glued = mapping_torus(base, phi, layers).complex
+            assert glued.counts() == _unglued_tower_counts(base, layers), (base, layers)
+
+
+def test_mapping_torus_builds_one_complex_and_checks_its_counts(monkeypatch):
+    c = circle(3)
+    ident = SimplicialMap(c, c, [0, 1, 2])
+    build = SimplicialComplex.build.__func__
+    vertex_counts = []
+
+    def counting(cls, maximal, vertex_count=None):
+        vertex_counts.append(vertex_count)
+        return build(cls, maximal, vertex_count)
+
+    monkeypatch.setattr(SimplicialComplex, "build", classmethod(counting))
+    mapping_torus(c, ident, layers=4)
+    assert vertex_counts == [12]
+    # a prism split that drops simplices must trip the count check
+    monkeypatch.setattr(
+        constructions, "_prism_chains", lambda s, bottom, top: [tuple(bottom) + (top[-1],)]
+    )
+    with pytest.raises(ConstructionError, match="seam gluing"):
+        mapping_torus(c, ident, layers=4)
 
 
 def test_torus_grid_map_accepts_finite_order_matrices():
