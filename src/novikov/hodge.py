@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .cocycles import OneCocycle
+from .cocycles import OneCocycle, zero_cocycle
 from .errors import NormalizationError, NumericalError
 from .twisted import LocalSystemWeights, _coboundary_array
 
@@ -266,8 +266,8 @@ def harmonic_representative(
         raise ValueError("need 1-simplices for a 1-cochain representative")
     edges = k.edges
     vec = np.asarray([float(theta.value(u, v)) for (u, v) in edges])
-    d0 = k.boundary_matrix(1).transpose().to_numpy().real
-    drop = _weighted_projection(vec, d0, w.vector(1))
+    (d0,) = _deltas(k, zero_cocycle(k), 1.0, 0)
+    drop = _weighted_projection(vec, d0.real, w.vector(1))
     rep = vec - drop
     return OneCocycle(
         {e: float(rep[i]) for i, e in enumerate(edges)}, mode="float"

@@ -32,7 +32,6 @@ __all__ = [
     "kernel_dim",
     "matrix_rref",
     "kernel_basis",
-    "solve_linear",
     "parse_scalar",
     "scalar_literal",
     "DEFAULT_FLOAT_TOLERANCE",
@@ -414,7 +413,7 @@ class Matrix:
         elif inferred == _FLOAT:
             coerced = []
             for v in entries:
-                c = complex(v) if not isinstance(v, Fraction) else complex(float(v))
+                c = complex(_float_of(v)) if isinstance(v, (int, Fraction)) else complex(v)
                 if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                     raise ValueError("non-finite float matrix entry")
                 coerced.append(c)
@@ -487,7 +486,7 @@ class Matrix:
                 "number field matrices have no canonical float embedding"
             )
         if self.backend == _EXACT:
-            data = [complex(float(v)) for v in self.entries]
+            data = [complex(_float_of(v)) for v in self.entries]
         else:
             data = list(self.entries)
         return np.array(data, dtype=complex).reshape(self.nrows, self.ncols)
@@ -664,24 +663,6 @@ def kernel_basis(m: Matrix):
             vec[pc] = -rows[rix][fc]
         basis.append(vec)
     return basis
-
-
-def solve_linear(m: Matrix, rhs):
-    """One exact solution of m @ x = rhs, or None if inconsistent."""
-    if m.backend == _FLOAT:
-        raise BackendMismatchError("solve_linear requires exact entries")
-    if len(rhs) != m.nrows:
-        raise ValueError("rhs length mismatch")
-    if m.nrows == 0:
-        return [_field_constant(m, 0)] * m.ncols
-    aug = Matrix.from_rows([list(m.row(i)) + [rhs[i]] for i in range(m.nrows)])
-    rows, pivots = matrix_rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [_field_constant(aug, 0)] * m.ncols
-    for rix, pc in enumerate(pivots):
-        x[pc] = rows[rix][m.ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from .errors import ConstructionError
 from .scalars import (
     DEFAULT_FLOAT_TOLERANCE,
     Matrix,
+    _float_of,
     kernel_basis,
     kernel_dim,
     matrix_rref,
     scalar_backend,
     scalar_literal,
-    solve_linear,
 )
 from .twisted import twisted_coboundary
 
@@ -117,11 +117,11 @@ class WangProfile:
 
 def _shifted_block(block: Matrix, lam) -> Matrix:
     n = block.nrows
-    ent = [
-        block.entry(i, j) - (lam if i == j else 0)
-        for i in range(n)
-        for j in range(n)
-    ]
+    ent = list(block.entries)
+    # an exact entry past the float range raises NumericalError, not OverflowError
+    to_float = scalar_backend(lam) == "float" and block.backend == "exact"
+    for i in range(0, n * n, n + 1):
+        ent[i] = (_float_of(ent[i]) if to_float else ent[i]) - lam
     return Matrix(n, n, ent)
 
 
@@ -177,30 +177,29 @@ def _from_columns(cols, nrows) -> Matrix:
     return Matrix(nrows, len(cols), ent)
 
 
-def pullback_matrix(k: SimplicialComplex, phi: SimplicialMap, p: int) -> Matrix:
-    """Matrix of the cochain pullback of phi in degree p.
+def _pullback(k: SimplicialComplex, phi: SimplicialMap, p: int):
+    """Cochain pullback of phi in degree p as a signed permutation.
 
-    Row i gives the functional alpha -> (phi* alpha)(sigma_i), so the entry
-    at the index of the sorted image simplex is the sorting sign.
+    Entry i is (j, sign) with (phi* alpha)(sigma_i) = sign * alpha(sigma_j):
+    sigma_j is the sorted image of sigma_i and sign is the sorting sign.
     """
-    n = k.n_simplices(p)
-    ent = [Fraction(0)] * (n * n)
-    for i, s in enumerate(k.simplices[p]):
+    pull = []
+    for s in k.simplices[p]:
         img = [phi.image_vertex(v) for v in s]
-        j = k.simplex_index(tuple(sorted(img)))
-        ent[i * n + j] = Fraction(_sort_sign(img))
-    return Matrix(n, n, ent)
+        pull.append((k.simplex_index(tuple(sorted(img))), _sort_sign(img)))
+    return pull
 
 
 def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyAction:
     """Pullback action of an automorphism on rational cohomology.
 
-    Degree by degree: take the kernel of the coboundary, complete the image
-    of the previous coboundary to a basis of it with the kernel vectors that
-    are rref pivots of [image | kernel], push each representative
-    through the cochain pullback, and solve for its coordinates in that
-    basis again.  The coordinate blocks on the representatives are the
-    action matrices.
+    Degree by degree: take the kernel of the coboundary, then one rref of
+    [image of the previous coboundary | cocycles | pulled-back cocycles].
+    The cocycle columns that are pivots are the representatives, since
+    rref pivots depend only on the columns to their left.  Pullback maps
+    cocycles to cocycles, so each pulled-back column is a combination of
+    the pivot columns, and its rref entries on the rows of the
+    representatives are a column of the action matrix.
     """
     if phi.source != k or phi.target != k:
         raise ConstructionError("induced_action needs a self-map of k")
@@ -210,20 +209,17 @@ def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyA
     deltas = [twisted_coboundary(k, zero, Fraction(1), p) for p in range(k.dim + 1)]
     blocks = []
     for p, delta in enumerate(deltas):
-        n = k.n_simplices(p)
         cocycles = kernel_basis(delta)
-        prev = deltas[p - 1] if p >= 1 else Matrix(n, 0, [])
-        bounding = prev.transpose().rows()
-        _, pivots = matrix_rref(_from_columns(bounding + cocycles, n))
-        reps = [cocycles[c - len(bounding)] for c in pivots if c >= len(bounding)]
-        frame = _from_columns(bounding + reps, n)
-        cols = []
-        pull = pullback_matrix(k, phi, p)
-        for h in reps:
-            image = pull @ Matrix(n, 1, h)
-            coords = solve_linear(frame, [image.entry(i, 0) for i in range(n)])
-            if coords is None:  # pullback of a cocycle is always a cocycle
-                raise ConstructionError("pullback left the cocycle space")
-            cols.append(coords[len(bounding):])
-        blocks.append(_from_columns(cols, len(reps)))
+        bounding = deltas[p - 1].transpose().rows() if p >= 1 else []
+        pull = _pullback(k, phi, p)
+        images = [[sign * h[j] for j, sign in pull] for h in cocycles]
+        rows, pivots = matrix_rref(
+            _from_columns(bounding + cocycles + images, k.n_simplices(p))
+        )
+        first, last = len(bounding), len(bounding) + len(cocycles)
+        if pivots and pivots[-1] >= last:  # pullback of a cocycle is always a cocycle
+            raise ConstructionError("pullback left the cocycle space")
+        reps = [(r, c - first) for r, c in enumerate(pivots) if c >= first]
+        ent = [rows[r][last + c] for r, _ in reps for _, c in reps]
+        blocks.append(Matrix(len(reps), len(reps), ent))
     return FiberCohomologyAction(blocks)

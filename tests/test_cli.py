@@ -212,11 +212,19 @@ def test_numerical_errors_exit_3(tmp_path):
     )
     huge = "1" + "0" * 400  # an exact literal past the largest double
     circle3 = str(FIXTURES / "circle3.json")
+    action = tmp_path / "huge_action.json"
+    action.write_text(
+        json.dumps(
+            {"format": "novikov/action", "schema": "v1", "blocks": {"0": [[huge]]}}
+        )
+    )
     for argv in (
         ("betti", "--complex", str(steep), "--lambda", "10.0"),
         ("hodge", "--complex", str(steep), "--lambda", "10.0"),
         ("betti", "--complex", circle3, "--backend", "float", "--lambda", huge),
         ("hodge", "--complex", circle3, "--lambda", huge),
+        ("wang", "--action", str(action), "--lambda", "2.0"),
+        ("wang", "--action", str(action), "--backend", "float", "--lambda", "2"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from novikov.errors import BackendMismatchError, ReducibilityError
+from novikov.errors import BackendMismatchError, NumericalError, ReducibilityError
 from novikov.scalars import (
     Matrix,
     MinimalPolynomial,
@@ -19,7 +19,6 @@ from novikov.scalars import (
     rank,
     rank_with_flag,
     scalar_literal,
-    solve_linear,
 )
 
 GOLDEN = MinimalPolynomial.parse("x^2-3*x+1")
@@ -197,12 +196,18 @@ def test_rref_solve_and_kernel():
             sum(m.entry(i, j) * vec[j] for j in range(3)) for i in range(3)
         ]
         assert all(v == 0 for v in image)
-    x = solve_linear(m, [Fraction(6), Fraction(12), Fraction(2)])
-    assert x is not None
-    assert [sum(m.entry(i, j) * x[j] for j in range(3)) for i in range(3)] == [6, 12, 2]
-    assert solve_linear(Matrix.from_rows([[1], [1]]), [Fraction(0), Fraction(1)]) is None
     rows, pivots = matrix_rref(Matrix.from_rows([[0, 1], [1, 0]]))
     assert pivots == [0, 1]
+
+
+def test_exact_entries_past_float_range_raise_numerical_error():
+    huge = 10**400
+    with pytest.raises(NumericalError):
+        Matrix.from_rows([[huge, 1.0]])
+    with pytest.raises(NumericalError):
+        Matrix.from_rows([[Fraction(huge, 3), 0.5j]])
+    with pytest.raises(NumericalError):
+        rank(Matrix.from_rows([[huge]]), mode="float")
 
 
 def test_kernel_basis_number_field():

@@ -10,7 +10,7 @@ from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform
 from novikov.complexes import SimplicialComplex, circle, sphere_boundary
 from novikov.constructions import cyclic_cover, torus_grid
 from novikov.errors import BackendMismatchError
-from novikov.hodge import hodge_decompose, laplacian_spectrum
+from novikov.hodge import harmonic_representative, hodge_decompose, laplacian_spectrum
 from novikov.scalars import Matrix, NumberFieldElement, parse_scalar, rank_with_flag
 from novikov.twisted import (
     BettiProfile,
@@ -339,3 +339,5 @@ def test_pipelines_build_no_dense_matrix(monkeypatch):
         assert laplacian_spectrum(k, theta, 1.0, p).size == k.n_simplices(p)
         parts = hodge_decompose(k, theta, 0.625, p, np.ones(k.n_simplices(p)))
         assert parts.residual < 1e-9
+    rep = harmonic_representative(k, theta)
+    assert rep.mode == "float" and len(rep.values) == len(k.edges)

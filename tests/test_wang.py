@@ -1,24 +1,33 @@
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from novikov import scalars, wang
+from novikov.cocycles import OneCocycle, zero_cocycle
 from novikov.complexes import circle
 from novikov.constructions import (
     SimplicialMap,
+    cyclic_cover,
     mapping_torus,
     torus_grid,
     torus_grid_map,
 )
 from novikov.errors import ConstructionError
-from novikov.scalars import Matrix, parse_scalar
-from novikov.twisted import betti_profile
+from novikov.scalars import Matrix, kernel_basis, matrix_rref, parse_scalar
+from novikov.serialization import load_complex
+from novikov.twisted import betti_profile, twisted_coboundary
 from novikov.wang import (
     FiberCohomologyAction,
+    _pullback,
     induced_action,
-    pullback_matrix,
     wang_dims,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def sphere_product_action():
@@ -126,14 +135,134 @@ def test_induced_action_torus_automorphisms():
     assert power == Matrix.from_rows([[1, 0], [0, 1]])
 
 
+def _columns(cols, nrows) -> Matrix:
+    return Matrix(nrows, len(cols), [c[i] for i in range(nrows) for c in cols])
+
+
+def _dense_pullback(k, phi, p) -> Matrix:
+    n = k.n_simplices(p)
+    ent = [Fraction(0)] * (n * n)
+    for i, s in enumerate(k.simplices[p]):
+        img = [phi.image_vertex(v) for v in s]
+        inversions = sum(a > b for a, b in itertools.combinations(img, 2))
+        ent[i * n + k.simplex_index(tuple(sorted(img)))] = Fraction((-1) ** inversions)
+    return Matrix(n, n, ent)
+
+
+def reference_induced_action(k, phi) -> FiberCohomologyAction:
+    """The per-representative algorithm: pick the representatives with one
+    rref of [bounding | cocycles], then solve for the coordinates of each
+    pulled-back representative with its own rref of [bounding | reps | image],
+    through a dense pullback matrix."""
+    zero = zero_cocycle(k)
+    deltas = [twisted_coboundary(k, zero, Fraction(1), p) for p in range(k.dim + 1)]
+    blocks = []
+    for p, delta in enumerate(deltas):
+        n = k.n_simplices(p)
+        cocycles = kernel_basis(delta)
+        bounding = deltas[p - 1].transpose().rows() if p >= 1 else []
+        _, pivots = matrix_rref(_columns(bounding + cocycles, n))
+        reps = [cocycles[c - len(bounding)] for c in pivots if c >= len(bounding)]
+        pull = _dense_pullback(k, phi, p)
+        cols = []
+        for h in reps:
+            image = pull @ Matrix(n, 1, h)
+            rows, piv = matrix_rref(_columns(bounding + reps + [image.entries], n))
+            assert len(bounding) + len(reps) not in piv  # image is in the frame
+            coords = dict(zip(piv, (row[-1] for row in rows)))
+            cols.append([coords[len(bounding) + i] for i in range(len(reps))])
+        blocks.append(_columns(cols, len(reps)))
+    return FiberCohomologyAction(blocks)
+
+
+def _winding_torus_cover(m, sheets):
+    k = torus_grid(m)
+
+    def step(d):
+        d %= m
+        return d - m if d > 1 else d
+
+    theta = OneCocycle({(u, v): step(v // m - u // m) for (u, v) in k.edges})
+    return cyclic_cover(k, theta, sheets)
+
+
+def equivalence_cases():
+    torus2, _ = load_complex(FIXTURES / "torus2.json")
+    flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text())
+    yield "torus2 flip", torus2, SimplicialMap(torus2, torus2, flip)
+    grid = torus_grid(3)
+    gluings = {
+        "identity": [[1, 0], [0, 1]],
+        "flip": [[-1, 0], [0, -1]],
+        "swap": [[0, 1], [1, 0]],
+        "order six": [[1, -1], [1, 0]],
+    }
+    for name, matrix in gluings.items():
+        for shift in ((0, 0), (1, 2)):
+            yield f"grid3 {name} {shift}", grid, torus_grid_map(3, matrix, shift)
+    for matrix, shift in (
+        ([[-1, 0], [0, -1]], (3, 2)),
+        ([[0, 1], [1, 0]], (1, 3)),
+        ([[1, -1], [1, 0]], (2, 1)),
+    ):
+        yield f"grid4 {matrix} {shift}", torus_grid(4), torus_grid_map(4, matrix, shift)
+    c = circle(3)
+    yield "circle3 rotation", c, SimplicialMap(c, c, [1, 2, 0])
+    cover = _winding_torus_cover(3, 2)
+    yield "cover deck map", cover.complex, cover.deck_map()
+
+
+def test_induced_action_matches_per_representative_reference():
+    for name, k, phi in equivalence_cases():
+        got = induced_action(k, phi)
+        want = reference_induced_action(k, phi)
+        assert got.fiber_dims() == want.fiber_dims(), name
+        for p in range(want.top_degree + 1):
+            a, b = got.block(p), want.block(p)
+            assert a.shape == b.shape, (name, p)
+            assert [(type(v), v) for v in a.entries] == [
+                (type(v), v) for v in b.entries
+            ], (name, p)
+
+
+def test_induced_action_runs_two_eliminations_per_degree(monkeypatch):
+    calls = []
+    rref = scalars.matrix_rref
+
+    def counting(m):
+        calls.append(m.shape)
+        return rref(m)
+
+    monkeypatch.setattr(scalars, "matrix_rref", counting)
+    monkeypatch.setattr(wang, "matrix_rref", counting)
+    torus2, _ = load_complex(FIXTURES / "torus2.json")
+    flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text())
+    for k, phi in (
+        (torus2, SimplicialMap(torus2, torus2, flip)),
+        (torus_grid(3), torus_grid_map(3, [[1, -1], [1, 0]])),
+    ):
+        calls.clear()
+        induced_action(k, phi)
+        assert len(calls) == 2 * (k.dim + 1)
+
+
 def test_pullback_is_cochain_map():
     k = torus_grid(3)
     phi = torus_grid_map(3, [[1, -1], [1, 0]], shift=(2, 1))
+
+    def pull_back(p, h):
+        return [sign * h[j] for j, sign in _pullback(k, phi, p)]
+
     for p in range(k.dim):
         delta = k.boundary_matrix(p + 1).transpose()
-        left = pullback_matrix(k, phi, p + 1) @ delta
-        right = delta @ pullback_matrix(k, phi, p)
-        assert left == right
+
+        def cobound(h):
+            return list((delta @ Matrix(len(h), 1, h)).entries)
+
+        n = k.n_simplices(p)
+        for c in range(n):
+            basis = [Fraction(int(i == c)) for i in range(n)]
+            assert cobound(pull_back(p, basis)) == pull_back(p + 1, cobound(basis))
 
 
 def test_induced_action_requires_isomorphism():
