@@ -30,8 +30,6 @@ __all__ = [
     "Matrix",
     "rank",
     "kernel_dim",
-    "matrix_rref",
-    "kernel_basis",
     "parse_scalar",
     "scalar_literal",
     "DEFAULT_FLOAT_TOLERANCE",
@@ -506,24 +504,28 @@ class Matrix:
 # rank
 
 
-def _exact_rank_columns(columns) -> int:
-    """Rank by left-to-right column reduction with lowest-row pivots.
+def _reduce_columns(columns):
+    """Left-to-right column reduction with lowest-row pivots.
 
-    Each fixed pivot column is normalized so its pivot entry is 1; new
-    columns are reduced against existing pivots until they expose a fresh
-    pivot row or vanish.  Entirely exact and deterministic.
+    The one exact elimination in the package.  Keys of a column dict are
+    rows; keys < 0 are tags, which follow the column operations but are
+    never chosen as pivots (the [D; I] bookkeeping).  Each fixed pivot
+    column is normalized so its pivot entry is 1; a new column is reduced
+    against existing pivots until it exposes a fresh pivot row or only tags
+    are left.  Yields, per column, None if it took a pivot and otherwise
+    its leftover, a dict of tags only.  A tagged leftover holds the unique
+    coordinates of the column on the pivot columns to its left, so it is
+    what a dense rref gives.  Entirely exact and deterministic.
     """
     pivots: dict[int, dict] = {}
-    rnk = 0
     for col in columns:
         col = {r: v for r, v in col.items() if v != 0}
-        while col:
-            low = max(col)
+        while col and (low := max(col)) >= 0:
             piv = pivots.get(low)
             if piv is None:
                 inv = 1 / col[low]
                 pivots[low] = {r: v * inv for r, v in col.items()}
-                rnk += 1
+                col = None
                 break
             factor = col.pop(low)
             for r, v in piv.items():
@@ -534,7 +536,12 @@ def _exact_rank_columns(columns) -> int:
                     col.pop(r, None)
                 else:
                     col[r] = nv
-    return rnk
+        yield col
+
+
+def _exact_rank_columns(columns) -> int:
+    """Rank of untagged sparse columns: the number that take a pivot."""
+    return sum(left is None for left in _reduce_columns(columns))
 
 
 def _matrix_columns_sparse(m: Matrix):
@@ -598,71 +605,6 @@ def kernel_dim(
 ) -> int:
     """dim ker = ncols - rank."""
     return m.ncols - rank(m, mode=mode, tolerance=tolerance)
-
-
-# ---------------------------------------------------------------------------
-# dense exact elimination utilities (used for cohomology bases)
-
-
-def matrix_rref(m: Matrix):
-    """Reduced row echelon form over the exact backends.
-
-    Returns (rows, pivot_columns).  Pivoting scans columns left to right and
-    takes the first row with an exact nonzero entry.
-    """
-    if m.backend == _FLOAT:
-        raise BackendMismatchError("rref requires exact entries")
-    rows = m.rows()
-    pivots = []
-    rpos = 0
-    for col in range(m.ncols):
-        piv = None
-        for r in range(rpos, m.nrows):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rpos], rows[piv] = rows[piv], rows[rpos]
-        inv = 1 / rows[rpos][col]
-        rows[rpos] = [v * inv for v in rows[rpos]]
-        for r in range(m.nrows):
-            if r == rpos:
-                continue
-            f = rows[r][col]
-            if f == 0:
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rpos])]
-        pivots.append(col)
-        rpos += 1
-        if rpos == m.nrows:
-            break
-    return rows, pivots
-
-
-def _field_constant(m: Matrix, value):
-    if m.backend == _NF:
-        return NumberFieldElement.constant(value, m.minpoly)
-    return Fraction(value)
-
-
-def kernel_basis(m: Matrix):
-    """Basis of the right null space, one vector per free column.
-
-    Deterministic: free columns in increasing order, each basis vector has
-    a 1 in its free slot.
-    """
-    rows, pivots = matrix_rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [_field_constant(m, 0)] * m.ncols
-        vec[fc] = _field_constant(m, 1)
-        for rix, pc in enumerate(pivots):
-            vec[pc] = -rows[rix][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------

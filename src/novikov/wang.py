@@ -11,30 +11,32 @@ dims telescopes to zero regardless of the action.
 
 The action can be supplied directly as matrices (useful when the fiber is
 known only algebraically) or computed from a simplicial automorphism via
-induced_action, which builds the pullback on cochains and reads it off on a
-basis of cohomology classes.
+induced_action, which applies the pullback to cocycles as a signed
+permutation and reads it off on a basis of cohomology classes, through the
+same sparse coboundary assembly and exact column reduction as every other
+exact number in the package.  The dense Matrix holds only the square blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import zero_cocycle
 from .complexes import SimplicialComplex
 from .constructions import SimplicialMap
-from .errors import ConstructionError
+from .errors import BackendMismatchError, ConstructionError
 from .scalars import (
     DEFAULT_FLOAT_TOLERANCE,
     Matrix,
     _float_of,
-    kernel_basis,
+    _reduce_columns,
     kernel_dim,
-    matrix_rref,
     scalar_backend,
     scalar_literal,
 )
-from .twisted import twisted_coboundary
+from .twisted import LocalSystemWeights, _coboundary_rows
 
 __all__ = [
     "FiberCohomologyAction",
@@ -118,8 +120,13 @@ class WangProfile:
 def _shifted_block(block: Matrix, lam) -> Matrix:
     n = block.nrows
     ent = list(block.entries)
+    backend = scalar_backend(lam)
+    if {backend, block.backend} == {"nf", "float"}:
+        raise BackendMismatchError(
+            f"{block.backend} action blocks and a {backend} lambda do not mix"
+        )
     # an exact entry past the float range raises NumericalError, not OverflowError
-    to_float = scalar_backend(lam) == "float" and block.backend == "exact"
+    to_float = backend == "float" and block.backend == "exact"
     for i in range(0, n * n, n + 1):
         ent[i] = (_float_of(ent[i]) if to_float else ent[i]) - lam
     return Matrix(n, n, ent)
@@ -172,11 +179,6 @@ def _sort_sign(seq) -> int:
     return sign
 
 
-def _from_columns(cols, nrows) -> Matrix:
-    ent = [cols[j][i] for i in range(nrows) for j in range(len(cols))]
-    return Matrix(nrows, len(cols), ent)
-
-
 def _pullback(k: SimplicialComplex, phi: SimplicialMap, p: int):
     """Cochain pullback of phi in degree p as a signed permutation.
 
@@ -190,36 +192,64 @@ def _pullback(k: SimplicialComplex, phi: SimplicialMap, p: int):
     return pull
 
 
+def _columns(rows, ncols):
+    """The columns of a matrix given as sparse rows, as {row: entry} dicts."""
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    return cols
+
+
 def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyAction:
     """Pullback action of an automorphism on rational cohomology.
 
-    Degree by degree: take the kernel of the coboundary, then one rref of
-    [image of the previous coboundary | cocycles | pulled-back cocycles].
-    The cocycle columns that are pivots are the representatives, since
-    rref pivots depend only on the columns to their left.  Pullback maps
-    cocycles to cocycles, so each pulled-back column is a combination of
-    the pivot columns, and its rref entries on the rows of the
-    representatives are a column of the action matrix.
+    Degree by degree, two reductions of the sparse untwisted coboundary,
+    with tags (negative keys) doing the [D; I] bookkeeping:
+
+    * the columns of delta_p, column j tagged with its own simplex j; the
+      leftovers are a basis of the cocycles;
+    * [image of delta_{p-1} | tagged cocycles | pulled-back representatives].
+      The cocycles that take a pivot are the representatives, since a column
+      is a pivot exactly when it lies outside the span of the columns to its
+      left.  Pullback maps cocycles to cocycles, so each image reduces to
+      tags only, and minus its leftover tags are its coordinates on the
+      representatives: a column of the action block.
+
+    Leftovers are the unique coordinates on the pivot columns to their left,
+    so cocycles and blocks are the Fractions a dense rref gives.
     """
     if phi.source != k or phi.target != k:
         raise ConstructionError("induced_action needs a self-map of k")
     if not phi.is_isomorphism():
         raise ConstructionError("induced_action needs a simplicial isomorphism")
-    zero = zero_cocycle(k)
-    deltas = [twisted_coboundary(k, zero, Fraction(1), p) for p in range(k.dim + 1)]
+    weights = LocalSystemWeights(k, zero_cocycle(k), Fraction(1))
+    one = Fraction(1)
     blocks = []
-    for p, delta in enumerate(deltas):
-        cocycles = kernel_basis(delta)
-        bounding = deltas[p - 1].transpose().rows() if p >= 1 else []
+    bounding = []  # the columns of delta_{p-1}, which span the coboundaries
+    for p in range(k.dim + 1):
+        delta = _columns(_coboundary_rows(k, weights, p), k.n_simplices(p))
+        kernel = _reduce_columns({**col, -1 - j: one} for j, col in enumerate(delta))
+        cocycles = [
+            {-1 - t: v for t, v in left.items()} for left in kernel if left is not None
+        ]
         pull = _pullback(k, phi, p)
-        images = [[sign * h[j] for j, sign in pull] for h in cocycles]
-        rows, pivots = matrix_rref(
-            _from_columns(bounding + cocycles + images, k.n_simplices(p))
-        )
-        first, last = len(bounding), len(bounding) + len(cocycles)
-        if pivots and pivots[-1] >= last:  # pullback of a cocycle is always a cocycle
+        reps = []
+
+        def images():  # reached only after the frame, when reps is complete
+            for c in reps:
+                h = cocycles[c]
+                yield {i: sign * h[j] for i, (j, sign) in enumerate(pull) if j in h}
+
+        frame = bounding + [{**h, -1 - c: one} for c, h in enumerate(cocycles)]
+        reduced = _reduce_columns(itertools.chain(frame, images()))
+        for c, left in enumerate(itertools.islice(reduced, len(frame)), -len(bounding)):
+            if c >= 0 and left is None:
+                reps.append(c)
+        lefts = list(reduced)
+        if None in lefts:  # pullback of a cocycle is always a cocycle
             raise ConstructionError("pullback left the cocycle space")
-        reps = [(r, c - first) for r, c in enumerate(pivots) if c >= first]
-        ent = [rows[r][last + c] for r, _ in reps for _, c in reps]
+        ent = [-left.get(-1 - r, 0) for r in reps for left in lefts]
         blocks.append(Matrix(len(reps), len(reps), ent))
+        bounding = delta
     return FiberCohomologyAction(blocks)

@@ -179,11 +179,28 @@ def test_validation_errors_exit_2(tmp_path):
         "--layers", "2", "--lambda", "1",
     ).returncode == 2
     circle3 = str(FIXTURES / "circle3.json")
+    nf_action = tmp_path / "nf_action.json"
+    nf_action.write_text(
+        json.dumps(
+            {
+                "format": "novikov/action",
+                "schema": "v1",
+                "blocks": {"0": [["nf:x^2-3*x+1:x"]]},
+            }
+        )
+    )
+    float_action = tmp_path / "float_action.json"
+    float_action.write_text(
+        json.dumps({"format": "novikov/action", "schema": "v1", "blocks": {"0": [["0.5"]]}})
+    )
     for argv in (
         ("betti", "--complex", circle3, "--lambda", "inf"),
         ("hodge", "--complex", circle3, "--lambda", "inf"),
         ("betti", "--complex", circle3, "--lambda", "nan"),
         ("betti", "--complex", circle3, "--lambda", "1.0", "--tolerance", "0"),
+        ("wang", "--action", str(nf_action), "--lambda", "2.0"),
+        ("wang", "--action", str(nf_action), "--lambda", "1+2j"),
+        ("wang", "--action", str(float_action), "--lambda", "nf:x^2-3*x+1:x"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv

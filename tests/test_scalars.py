@@ -9,10 +9,9 @@ from novikov.scalars import (
     Matrix,
     MinimalPolynomial,
     NumberFieldElement,
+    _reduce_columns,
     format_polynomial,
-    kernel_basis,
     kernel_dim,
-    matrix_rref,
     nf_inverse,
     parse_polynomial,
     parse_scalar,
@@ -186,18 +185,36 @@ def test_float_rank_tolerance_and_flag():
         rank(m, mode="exact")
 
 
-def test_rref_solve_and_kernel():
+def engine_kernel(m: Matrix):
+    """Kernel vectors read from the leftover tags of the one exact reduction:
+    column j carries the tag -1 - j, and the columns that take no pivot
+    leave e_j minus their coordinates on the pivot columns to their left."""
+    cols = (
+        {**{i: m.entry(i, j) for i in range(m.nrows)}, -1 - j: Fraction(1)}
+        for j in range(m.ncols)
+    )
+    return [
+        {-1 - t: v for t, v in left.items()}
+        for left in _reduce_columns(cols)
+        if left is not None
+    ]
+
+
+def test_tagged_reduction_rank_and_kernel():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2
-    basis = kernel_basis(m)
-    assert len(basis) == 1
+    basis = engine_kernel(m)
+    # column 2 is column 0 plus column 1, and no other relation holds
+    assert basis == [{0: -1, 1: -1, 2: 1}]
     for vec in basis:
-        image = [
-            sum(m.entry(i, j) * vec[j] for j in range(3)) for i in range(3)
-        ]
+        image = [sum(m.entry(i, j) * v for j, v in vec.items()) for i in range(3)]
         assert all(v == 0 for v in image)
-    rows, pivots = matrix_rref(Matrix.from_rows([[0, 1], [1, 0]]))
-    assert pivots == [0, 1]
+    assert all(type(v) is Fraction for v in basis[0].values())
+    # tags are never pivots: a column of tags only is left as it is
+    assert list(_reduce_columns([{-1: Fraction(2)}, {0: Fraction(3), -2: Fraction(1)}])) == [
+        {-1: Fraction(2)},
+        None,
+    ]
 
 
 def test_exact_entries_past_float_range_raise_numerical_error():
@@ -210,12 +227,13 @@ def test_exact_entries_past_float_range_raise_numerical_error():
         rank(Matrix.from_rows([[huge]]), mode="float")
 
 
-def test_kernel_basis_number_field():
+def test_tagged_reduction_kernel_number_field():
     lam = x_in(GOLDEN)
     m = Matrix.from_rows([[1 - lam, 1], [1, 2 - lam]])
-    basis = kernel_basis(m)
+    basis = engine_kernel(m)
     assert len(basis) == 1
     v = basis[0]
+    assert v[1] == 1
     for i in range(2):
         assert m.entry(i, 0) * v[0] + m.entry(i, 1) * v[1] == 0
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -6,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from novikov import scalars, wang
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from novikov import wang
 from novikov.cocycles import OneCocycle, zero_cocycle
 from novikov.complexes import circle
 from novikov.constructions import (
@@ -16,8 +20,8 @@ from novikov.constructions import (
     torus_grid,
     torus_grid_map,
 )
-from novikov.errors import ConstructionError
-from novikov.scalars import Matrix, kernel_basis, matrix_rref, parse_scalar
+from novikov.errors import BackendMismatchError, ConstructionError
+from novikov.scalars import _FLOAT, _NF, Matrix, NumberFieldElement, parse_scalar
 from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, twisted_coboundary
 from novikov.wang import (
@@ -135,6 +139,71 @@ def test_induced_action_torus_automorphisms():
     assert power == Matrix.from_rows([[1, 0], [0, 1]])
 
 
+# A dense Gauss-Jordan elimination, independent of the package's sparse
+# column reduction: the engine reference_induced_action runs on.
+
+
+def matrix_rref(m: Matrix):
+    """Reduced row echelon form over the exact backends.
+
+    Returns (rows, pivot_columns).  Pivoting scans columns left to right and
+    takes the first row with an exact nonzero entry.
+    """
+    if m.backend == _FLOAT:
+        raise BackendMismatchError("rref requires exact entries")
+    rows = m.rows()
+    pivots = []
+    rpos = 0
+    for col in range(m.ncols):
+        piv = None
+        for r in range(rpos, m.nrows):
+            if rows[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rpos], rows[piv] = rows[piv], rows[rpos]
+        inv = 1 / rows[rpos][col]
+        rows[rpos] = [v * inv for v in rows[rpos]]
+        for r in range(m.nrows):
+            if r == rpos:
+                continue
+            f = rows[r][col]
+            if f == 0:
+                continue
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rpos])]
+        pivots.append(col)
+        rpos += 1
+        if rpos == m.nrows:
+            break
+    return rows, pivots
+
+
+def _field_constant(m: Matrix, value):
+    if m.backend == _NF:
+        return NumberFieldElement.constant(value, m.minpoly)
+    return Fraction(value)
+
+
+def kernel_basis(m: Matrix):
+    """Basis of the right null space, one vector per free column.
+
+    Deterministic: free columns in increasing order, each basis vector has
+    a 1 in its free slot.
+    """
+    rows, pivots = matrix_rref(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [_field_constant(m, 0)] * m.ncols
+        vec[fc] = _field_constant(m, 1)
+        for rix, pc in enumerate(pivots):
+            vec[pc] = -rows[rix][fc]
+        basis.append(vec)
+    return basis
+
+
 def _columns(cols, nrows) -> Matrix:
     return Matrix(nrows, len(cols), [c[i] for i in range(nrows) for c in cols])
 
@@ -212,38 +281,100 @@ def equivalence_cases():
     yield "cover deck map", cover.complex, cover.deck_map()
 
 
+def assert_same_blocks(got, want, name):
+    assert got.fiber_dims() == want.fiber_dims(), name
+    for p in range(want.top_degree + 1):
+        a, b = got.block(p), want.block(p)
+        assert a.shape == b.shape, (name, p)
+        assert [(type(v), v) for v in a.entries] == [
+            (type(v), v) for v in b.entries
+        ], (name, p)
+
+
 def test_induced_action_matches_per_representative_reference():
     for name, k, phi in equivalence_cases():
-        got = induced_action(k, phi)
+        assert_same_blocks(induced_action(k, phi), reference_induced_action(k, phi), name)
+
+
+# The twelve matrices with entries in {-1, 0, 1} that send the staircase edge
+# directions to staircase directions (the symmetries of the triangular
+# lattice): the finite-order gluings torus_grid_map accepts at m = 3 and 4.
+FINITE_ORDER_GLUINGS = (
+    [[1, 0], [0, 1]],
+    [[-1, 0], [0, -1]],
+    [[0, 1], [1, 0]],
+    [[0, -1], [-1, 0]],
+    [[1, -1], [1, 0]],
+    [[0, 1], [-1, 1]],
+    [[0, -1], [1, -1]],
+    [[-1, 1], [-1, 0]],
+    [[-1, 0], [-1, 1]],
+    [[1, 0], [1, -1]],
+    [[-1, 1], [0, 1]],
+    [[1, -1], [0, -1]],
+)
+
+
+@functools.cache
+def _deck_case(sheets):
+    cover = _winding_torus_cover(3, sheets)
+    k, phi = cover.complex, cover.deck_map()
+    return k, phi, reference_induced_action(k, phi)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("gluing", "deck")),
+    m=st.integers(3, 4),
+    matrix=st.sampled_from(FINITE_ORDER_GLUINGS),
+    shift=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    sheets=st.integers(2, 3),
+)
+def test_induced_action_matches_reference_on_random_maps(kind, m, matrix, shift, sheets):
+    if kind == "deck":
+        k, phi, want = _deck_case(sheets)
+    else:
+        k, phi = torus_grid(m), torus_grid_map(m, matrix, shift)
         want = reference_induced_action(k, phi)
-        assert got.fiber_dims() == want.fiber_dims(), name
-        for p in range(want.top_degree + 1):
-            a, b = got.block(p), want.block(p)
-            assert a.shape == b.shape, (name, p)
-            assert [(type(v), v) for v in a.entries] == [
-                (type(v), v) for v in b.entries
-            ], (name, p)
+    assert_same_blocks(induced_action(k, phi), want, (kind, m, matrix, shift, sheets))
 
 
 def test_induced_action_runs_two_eliminations_per_degree(monkeypatch):
     calls = []
-    rref = scalars.matrix_rref
+    reduce_columns = wang._reduce_columns
 
-    def counting(m):
-        calls.append(m.shape)
-        return rref(m)
+    def counting(columns):
+        calls.append(None)
+        return reduce_columns(columns)
 
-    monkeypatch.setattr(scalars, "matrix_rref", counting)
-    monkeypatch.setattr(wang, "matrix_rref", counting)
-    torus2, _ = load_complex(FIXTURES / "torus2.json")
-    flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text())
-    for k, phi in (
-        (torus2, SimplicialMap(torus2, torus2, flip)),
-        (torus_grid(3), torus_grid_map(3, [[1, -1], [1, 0]])),
-    ):
+    monkeypatch.setattr(wang, "_reduce_columns", counting)
+    for k, phi in square_block_cases():
         calls.clear()
         induced_action(k, phi)
         assert len(calls) == 2 * (k.dim + 1)
+
+
+def square_block_cases():
+    torus2, _ = load_complex(FIXTURES / "torus2.json")
+    flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text())
+    yield torus2, SimplicialMap(torus2, torus2, flip)
+    yield torus_grid(3), torus_grid_map(3, [[1, -1], [1, 0]])
+
+
+def test_induced_action_builds_only_square_cohomology_blocks(monkeypatch):
+    shapes = []
+    init = Matrix.__init__
+
+    def recording(self, nrows, ncols, entries):
+        shapes.append((nrows, ncols))
+        init(self, nrows, ncols, entries)
+
+    monkeypatch.setattr(Matrix, "__init__", recording)
+    for k, phi in square_block_cases():
+        shapes.clear()
+        action = induced_action(k, phi)
+        assert action.fiber_dims() == (1, 2, 1)
+        assert shapes == [(d, d) for d in action.fiber_dims()]
 
 
 def test_pullback_is_cochain_map():
