@@ -200,7 +200,7 @@ def engine_kernel(m: Matrix):
     ]
 
 
-def test_tagged_reduction_rank_and_kernel():
+def test_rref_solve_and_kernel():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(m) == 2
     basis = engine_kernel(m)
@@ -227,7 +227,7 @@ def test_exact_entries_past_float_range_raise_numerical_error():
         rank(Matrix.from_rows([[huge]]), mode="float")
 
 
-def test_tagged_reduction_kernel_number_field():
+def test_kernel_basis_number_field():
     lam = x_in(GOLDEN)
     m = Matrix.from_rows([[1 - lam, 1], [1, 2 - lam]])
     basis = engine_kernel(m)
