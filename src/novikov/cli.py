@@ -341,14 +341,6 @@ def _run_hodge(args, parser):
         threshold = DEFAULT_HARMONIC_THRESHOLD
     entries = []
     for lit, lam in lams:
-        try:
-            lam = complex(lam)
-        except TypeError:
-            raise NovikovError(
-                "the spectral pipeline is float-only; lambda must be real or complex"
-            ) from None
-        except OverflowError:
-            raise NumericalError("lambda leaves the float range") from None
         dims, gaps = zip(*(
             _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)
             for p in range(k.dim + 1)

@@ -9,8 +9,9 @@ coboundary is then W_p^{-1} delta_p^H W_{p+1} and the Laplacian is
 Its kernel has the dimension of degree-p twisted cohomology, which gives a
 spectral route to the same numbers the rank pipeline produces; the two are
 cross-checked in the test suite.  Everything here is numerical: exact
-backends have no square roots or conjugation, so requests are coerced to
-floats up front.
+backends have no square roots or conjugation, so lambda is coerced to a
+float up front by the backend decision of ``scalars``, which refuses a
+number-field lambda and raises NumericalError past the float range.
 
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
@@ -32,6 +33,7 @@ import numpy as np
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, zero_cocycle
 from .errors import NormalizationError, NumericalError
+from .scalars import _arithmetic
 from .twisted import LocalSystemWeights, _coboundary_array
 
 __all__ = [
@@ -99,7 +101,7 @@ def _resolve(k, weights) -> InnerProduct:
 
 def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
     """Float coboundaries in the given degrees, each assembled once."""
-    weights = LocalSystemWeights(k, theta, complex(lam))
+    weights = LocalSystemWeights(k, theta, _arithmetic(lam, backend="float")[0])
     return [_coboundary_array(k, weights, p) for p in degrees]
 
 

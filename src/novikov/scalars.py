@@ -6,15 +6,18 @@ Three scalar backends are supported and deliberately kept simple:
 * ``nf``     -- elements of a number field Q[x]/(m) for a monic irreducible m,
 * ``float``  -- complex double precision.
 
-A Matrix carries one backend; mixing incompatible scalars raises
-BackendMismatchError.  Rank is computed exactly (division-controlled
-elimination, no tolerances) for the exact backends and through singular
-values for the float backend.  All exact routines are deterministic: pivot
-order depends only on the matrix, never on hashing or timing.
+``_arithmetic`` is the one place that chooses the backend and tolerance of
+a computation: lambda's kind joins the entries' kind (number field or float
+beats exact, number field with float raises BackendMismatchError), and only
+float has a tolerance.  A Matrix infers its backend by the same join, and
+its rank runs exactly (division-controlled elimination) or through singular
+values accordingly.  All exact routines are deterministic: pivot order
+depends only on the matrix, never on hashing or timing.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -362,13 +365,48 @@ def _classify(value):
     raise ValueError(f"unsupported scalar type {type(value).__name__}")
 
 
+def _join(kinds) -> str:
+    """Backend of these kinds together: nf or float beats exact; nf + float raises."""
+    kinds = set(kinds)
+    if _NF in kinds and _FLOAT in kinds:
+        raise BackendMismatchError("number field and float scalars do not mix")
+    return _NF if _NF in kinds else _FLOAT if _FLOAT in kinds else _EXACT
+
+
+def _arithmetic(lam, entries=_EXACT, backend=None, tolerance=None):
+    """The one backend decision: (lam, backend, tolerance) of a computation.
+
+    The backend joins lambda's kind with the entries' kind; a requested
+    backend may move exact to float and must otherwise agree.  Lambda comes
+    back in that backend (NumericalError past the float range), zero and
+    non-finite lambdas are refused, and the tolerance is None when exact.
+    """
+    kind = _classify(lam)
+    chosen = _join((kind, entries))
+    if backend == _FLOAT and chosen == _EXACT:
+        chosen = _FLOAT
+    elif backend not in (None, chosen):
+        raise BackendMismatchError(
+            f"lambda {scalar_literal(lam)} has backend {chosen!r}, "
+            f"requested {backend!r}"
+        )
+    if kind == _EXACT:
+        lam = _float_of(lam) if chosen == _FLOAT else Fraction(lam)
+    if lam == 0:
+        raise ValueError("monodromy parameter lambda must be nonzero")
+    if chosen != _FLOAT:
+        return lam, chosen, None
+    if not cmath.isfinite(lam):
+        raise ValueError(f"monodromy parameter lambda must be finite, got {lam!r}")
+    return lam, chosen, DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
+
+
 class Matrix:
     """Dense matrix over one scalar backend.
 
     Entries are stored row-major in a flat tuple.  Construction coerces
-    ints/Fractions into the strongest backend present (number field wins
-    over rationals, float wins over rationals, number field + float is an
-    error) and rejects non-finite floats.
+    ints/Fractions into the backend ``_join`` gives for the kinds present
+    and rejects non-finite floats.
     """
 
     __slots__ = ("nrows", "ncols", "entries", "backend", "minpoly")
@@ -392,16 +430,7 @@ class Matrix:
                     raise BackendMismatchError(
                         "mixed minimal polynomials in one matrix"
                     )
-        if _NF in kinds and _FLOAT in kinds:
-            raise BackendMismatchError(
-                "number field and float entries cannot share a matrix"
-            )
-        if _NF in kinds:
-            inferred = _NF
-        elif _FLOAT in kinds:
-            inferred = _FLOAT
-        else:
-            inferred = _EXACT
+        inferred = _join(kinds)
         if inferred == _NF:
             entries = [
                 v if isinstance(v, NumberFieldElement)
@@ -570,41 +599,27 @@ def _float_rank(a: np.ndarray, tolerance: float):
     return rnk, ill
 
 
-def rank(m: Matrix, mode: str | None = None, tolerance: float | None = None) -> int:
-    """Rank of a matrix in the requested mode.
-
-    mode None picks the matrix's own backend.  Exact mode on float entries
-    is refused (no tolerance-free pivot test exists there); float mode on
-    exact entries converts and uses singular values.
-    """
-    r, _ = rank_with_flag(m, mode=mode, tolerance=tolerance)
+def rank(m: Matrix, tolerance: float | None = None) -> int:
+    """Rank of a matrix in its own backend; tolerance applies to float."""
+    r, _ = rank_with_flag(m, tolerance=tolerance)
     return r
 
 
-def rank_with_flag(
-    m: Matrix, mode: str | None = None, tolerance: float | None = None
-):
+def rank_with_flag(m: Matrix, tolerance: float | None = None):
     """Like rank(), returning (rank, ill_conditioned).
 
-    The flag is always False in exact mode.
+    The flag is always False on the exact backends.
     """
-    if mode is None:
-        mode = _FLOAT if m.backend == _FLOAT else _EXACT
-    if mode == _EXACT or mode == _NF:
-        if m.backend == _FLOAT:
-            raise BackendMismatchError("exact rank requires exact entries")
-        return _exact_rank_columns(_matrix_columns_sparse(m)), False
-    if mode == _FLOAT:
-        tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
+    # a bare matrix meets no lambda; 1 is exact and leaves the join to m
+    _, backend, tol = _arithmetic(1, m.backend, tolerance=tolerance)
+    if backend == _FLOAT:
         return _float_rank(m.to_numpy(), tol)
-    raise ValueError(f"unknown rank mode {mode!r}")
+    return _exact_rank_columns(_matrix_columns_sparse(m)), False
 
 
-def kernel_dim(
-    m: Matrix, mode: str | None = None, tolerance: float | None = None
-) -> int:
+def kernel_dim(m: Matrix, tolerance: float | None = None) -> int:
     """dim ker = ncols - rank."""
-    return m.ncols - rank(m, mode=mode, tolerance=tolerance)
+    return m.ncols - rank(m, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +680,3 @@ def scalar_literal(value) -> str:
             return repr(value.real)
         return repr(value)
     return repr(float(value))
-
-
-def scalar_backend(value) -> str:
-    """Backend name for a scalar value."""
-    return _classify(value)

@@ -32,13 +32,11 @@ from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, validate_closed
 from .errors import BackendMismatchError, NumericalError
 from .scalars import (
-    DEFAULT_FLOAT_TOLERANCE,
     Matrix,
     NumberFieldElement,
+    _arithmetic,
     _exact_rank_columns,
-    _float_of,
     _float_rank,
-    scalar_backend,
     scalar_literal,
 )
 
@@ -63,12 +61,8 @@ class LocalSystemWeights:
     __slots__ = ("complex", "theta", "lam", "backend")
 
     def __init__(self, k: SimplicialComplex, theta: OneCocycle, lam):
-        backend = scalar_backend(lam)
-        if lam == 0:
-            raise ValueError("monodromy parameter lambda must be nonzero")
-        if backend == "float" and not cmath.isfinite(lam):
-            raise ValueError(f"monodromy parameter lambda must be finite, got {lam!r}")
-        if backend in ("exact", "nf") and theta.mode != "exact":
+        lam, backend, _ = _arithmetic(lam)
+        if backend != "float" and theta.mode != "exact":
             raise BackendMismatchError(
                 "exact lambda needs an integer cocycle; use float lambda "
                 "for real-valued theta"
@@ -77,7 +71,7 @@ class LocalSystemWeights:
             raise ValueError("cocycle is not closed on this complex")
         object.__setattr__(self, "complex", k)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "lam", Fraction(lam) if backend == "exact" else lam)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, *a):
@@ -189,18 +183,11 @@ def betti_profile(
 
     backend "float" forces numeric rank on an exact lambda; exact backends
     run tolerance-free.  The ill_conditioned flag reports whether any
-    singular value fell near the rank cut (float mode only).
+    singular value fell near the rank cut (float backend only).
     """
-    if backend == "float" and scalar_backend(lam) == "exact":
-        lam = _float_of(lam)
+    lam, backend, tol = _arithmetic(lam, backend=backend, tolerance=tolerance)
     weights = LocalSystemWeights(k, theta, lam)
-    if backend is not None and backend != weights.backend:
-        raise BackendMismatchError(
-            f"lambda {scalar_literal(lam)} has backend {weights.backend!r}, "
-            f"requested {backend!r}"
-        )
-    is_float = weights.backend == "float"
-    tol = (DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance) if is_float else None
+    is_float = backend == "float"
     ranks = []
     ill_any = False
     for p in range(k.dim + 1):
@@ -218,8 +205,8 @@ def betti_profile(
     return BettiProfile(
         dims=tuple(dims),
         euler=euler,
-        lam=weights.lam,
-        backend=weights.backend,
+        lam=lam,
+        backend=backend,
         tolerance=tol,
         ill_conditioned=ill_any,
     )
@@ -237,10 +224,14 @@ def duality_check(
     on non-manifold complexes it can legitimately fail, so the result is
     reported rather than asserted.
     """
-    n = k.dim
-    a = betti_profile(k, theta, lam, tolerance=tolerance)
-    b = betti_profile(k, theta, 1 / lam, tolerance=tolerance)
-    return all(a.dims[p] == b.dims[n - p] for p in range(n + 1))
+    return _duality(k, theta, lam, tolerance)[0]
+
+
+def _duality(k, theta, lam, tolerance=None):
+    """(holds, dims at lambda, reversed dims at 1/lambda) for duality_check."""
+    dims = betti_profile(k, theta, lam, tolerance=tolerance).dims
+    reversed_dual = betti_profile(k, theta, 1 / lam, tolerance=tolerance).dims[::-1]
+    return dims == reversed_dual, dims, reversed_dual
 
 
 def kunneth_check(

@@ -7,7 +7,9 @@ twisted cohomology splits into degreewise pieces
 
 where M_p is the induced action on H^p(F).  Since the blocks are square the
 cokernel dimension equals the kernel dimension, and the alternating sum of
-dims telescopes to zero regardless of the action.
+dims telescopes to zero regardless of the action.  The kernels are counted
+in the backend that joins lam with the blocks, so float or number-field
+blocks at an exact lam run in float or in the number field.
 
 The action can be supplied directly as matrices (useful when the fiber is
 known only algebraically) or computed from a simplicial automorphism via
@@ -26,14 +28,14 @@ from fractions import Fraction
 from .cocycles import zero_cocycle
 from .complexes import SimplicialComplex
 from .constructions import SimplicialMap
-from .errors import BackendMismatchError, ConstructionError
+from .errors import ConstructionError
 from .scalars import (
-    DEFAULT_FLOAT_TOLERANCE,
     Matrix,
+    _arithmetic,
     _float_of,
+    _join,
     _reduce_columns,
     kernel_dim,
-    scalar_backend,
     scalar_literal,
 )
 from .twisted import LocalSystemWeights, _coboundary_rows
@@ -117,14 +119,9 @@ class WangProfile:
         }
 
 
-def _shifted_block(block: Matrix, lam) -> Matrix:
+def _shifted_block(block: Matrix, lam, backend: str) -> Matrix:
     n = block.nrows
     ent = list(block.entries)
-    backend = scalar_backend(lam)
-    if {backend, block.backend} == {"nf", "float"}:
-        raise BackendMismatchError(
-            f"{block.backend} action blocks and a {backend} lambda do not mix"
-        )
     # an exact entry past the float range raises NumericalError, not OverflowError
     to_float = backend == "float" and block.backend == "exact"
     for i in range(0, n * n, n + 1):
@@ -138,21 +135,20 @@ def wang_dims(
     """Twisted dimensions of the bundle from the fiber action at lam.
 
     lam is the monodromy of the local system around the base circle once.
-    Exact and number-field lam run tolerance-free; float lam counts
-    singular values against the tolerance.
+    The backend joins lam with the blocks: float or number-field blocks at
+    an exact lam run in float or in the number field, and number field with
+    float is refused.  The exact backends run tolerance-free; the float
+    backend counts singular values against the tolerance.
     """
-    backend = scalar_backend(lam)
-    if lam == 0:
-        raise ValueError("monodromy parameter lambda must be nonzero")
-    is_float = backend == "float"
-    tol = (DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance) if is_float else None
+    entries = _join(block.backend for block in action.matrices)
+    lam, backend, tol = _arithmetic(lam, entries, tolerance=tolerance)
     nulls = []
     for p in range(action.top_degree + 1):
         block = action.block(p)
         if block.nrows == 0:
             nulls.append(0)
             continue
-        shifted = _shifted_block(block, lam)
+        shifted = _shifted_block(block, lam, backend)
         nulls.append(kernel_dim(shifted, tolerance=tol))
     dims = []
     for p in range(action.top_degree + 2):

@@ -59,6 +59,34 @@ def test_wang_number_field_eigenvalue():
     assert profile["euler"] == 0
 
 
+def write_action(path, blocks):
+    path.write_text(json.dumps({"format": "novikov/action", "schema": "v1", "blocks": blocks}))
+    return str(path)
+
+
+def test_wang_float_blocks_at_an_exact_lambda_run_in_float(tmp_path):
+    action = write_action(tmp_path / "a.json", {"0": [["1", "0"], ["0", "0.5"]]})
+    at_exact, at_float = (
+        report_of(run_cli("wang", "--action", action, "--lambda", lit, "--tolerance", "0.5"))
+        for lit in ("3/5", "0.6")
+    )
+    profile = at_exact["results"]["profiles"][0]
+    assert profile["backend"] == "float"
+    assert profile["tolerance"] == 0.5
+    assert "timing_seconds" in at_exact
+    assert profile["dims"] == at_float["results"]["profiles"][0]["dims"] == [1, 1]
+
+
+def test_wang_number_field_blocks_at_an_exact_lambda_report_nf(tmp_path):
+    action = write_action(tmp_path / "a.json", {"0": [["nf:x^2-3*x+1:x"]]})
+    report = report_of(run_cli("wang", "--action", action, "--lambda", "2"))
+    profile = report["results"]["profiles"][0]
+    assert profile["backend"] == "nf"
+    assert profile["tolerance"] is None
+    assert profile["dims"] == [0, 0]
+    assert "timing_seconds" not in report
+
+
 def test_lambda_grid_sweep_reports_timing():
     proc = run_cli(
         "betti", "--complex", str(FIXTURES / "torus2.json"),

@@ -4,7 +4,7 @@ import pytest
 from novikov.cocycles import OneCocycle, holonomy
 from novikov.complexes import SimplicialComplex, circle, point, sphere_boundary
 from novikov.constructions import product, torus_grid
-from novikov.errors import NormalizationError
+from novikov.errors import BackendMismatchError, NormalizationError, NumericalError
 from novikov.hodge import (
     InnerProduct,
     adjoint,
@@ -18,6 +18,7 @@ from novikov.hodge import (
     volume,
 )
 from novikov import twisted
+from novikov.scalars import parse_scalar
 from novikov.twisted import betti_profile, twisted_coboundary
 
 
@@ -275,3 +276,11 @@ def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
         degrees.clear()
         hodge_decompose(k, theta, 2.0, p, np.ones(k.n_simplices(p)))
         assert sorted(degrees) == expected
+
+
+def test_lambda_outside_the_float_backend_is_refused():
+    c, ct = circle(3), winding_theta(3)
+    with pytest.raises(NumericalError):
+        harmonic_dim(c, ct, 10**400, 0)
+    with pytest.raises(BackendMismatchError):
+        harmonic_dim(c, ct, parse_scalar("nf:x^2-3*x+1:x"), 0)

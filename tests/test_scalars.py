@@ -9,6 +9,8 @@ from novikov.scalars import (
     Matrix,
     MinimalPolynomial,
     NumberFieldElement,
+    _arithmetic,
+    _float_rank,
     _reduce_columns,
     format_polynomial,
     kernel_dim,
@@ -140,7 +142,7 @@ def test_exact_rank_matches_float_rank_random():
         r = rng.randint(0, n)
         m = _random_rank_factors(rng, n, r) if r else Matrix.zeros(n, n)
         exact = rank(m)
-        approx = rank(m, mode="float", tolerance=1e-10)
+        approx, _ = _float_rank(m.to_numpy(), 1e-10)
         assert exact == approx
         assert exact <= r
         assert rank(m.transpose()) == exact
@@ -167,7 +169,7 @@ def test_rank_empty_and_zero():
     assert rank(Matrix.zeros(5, 0)) == 0
     assert rank(Matrix.zeros(3, 3)) == 0
     assert kernel_dim(Matrix.zeros(0, 5)) == 5
-    r, ill = rank_with_flag(Matrix(0, 4, []), mode="float", tolerance=1e-10)
+    r, ill = _float_rank(np.zeros((0, 4)), 1e-10)
     assert (r, ill) == (0, False)
 
 
@@ -180,9 +182,30 @@ def test_float_rank_tolerance_and_flag():
     r2, ill2 = rank_with_flag(m2, tolerance=1e-10)
     assert ill2
     with pytest.raises(ValueError):
-        rank(m, mode="float", tolerance=0.0)
-    with pytest.raises(BackendMismatchError):
-        rank(m, mode="exact")
+        rank(m, tolerance=0.0)
+
+
+def test_arithmetic_joins_lambda_with_the_entries():
+    nf = x_in(GOLDEN)
+    assert _arithmetic(2) == (Fraction(2), "exact", None)
+    assert _arithmetic(Fraction(3, 5), "float") == (0.6, "float", 1e-10)
+    assert _arithmetic(2, "nf") == (Fraction(2), "nf", None)
+    assert _arithmetic(nf) == (nf, "nf", None)
+    assert _arithmetic(2, backend="float", tolerance=0.5) == (2.0, "float", 0.5)
+    assert _arithmetic(2, tolerance=0.5) == (Fraction(2), "exact", None)
+    for lam, entries, backend in (
+        (nf, "float", None),
+        (0.5, "nf", None),
+        (2.0, "exact", "exact"),
+        (nf, "exact", "float"),
+    ):
+        with pytest.raises(BackendMismatchError):
+            _arithmetic(lam, entries, backend=backend)
+    for lam in (0, 0.0, float("inf"), complex("nan")):
+        with pytest.raises(ValueError):
+            _arithmetic(lam)
+    with pytest.raises(NumericalError):
+        _arithmetic(10**400, backend="float")
 
 
 def engine_kernel(m: Matrix):
@@ -224,7 +247,7 @@ def test_exact_entries_past_float_range_raise_numerical_error():
     with pytest.raises(NumericalError):
         Matrix.from_rows([[Fraction(huge, 3), 0.5j]])
     with pytest.raises(NumericalError):
-        rank(Matrix.from_rows([[huge]]), mode="float")
+        _float_rank(Matrix.from_rows([[huge]]).to_numpy(), 1e-10)
 
 
 def test_kernel_basis_number_field():

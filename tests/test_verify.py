@@ -3,7 +3,7 @@ import json
 import pytest
 
 from novikov.cocycles import OneCocycle
-from novikov.complexes import circle
+from novikov.complexes import circle, path_complex
 from novikov.constructions import torus_grid
 from novikov.errors import NovikovError
 from novikov.verify import SUITES, SuiteResult, Verdict, run_suite
@@ -75,3 +75,13 @@ def test_result_plumbing():
     payload = result.to_json()
     assert payload["seed"] == 5
     assert payload["verdicts"][0] == {"name": "x", "passed": False, "detail": {"why": "demo"}}
+
+
+def test_duality_failure_carries_both_profiles():
+    # a path is contractible, so every lambda gives (1, 0), which reversed is (0, 1)
+    theta = OneCocycle({(0, 1): 1, (1, 2): 0})
+    result = run_suite("theorem21", path_complex(2), theta, seed=1, trials=2)
+    duality = result.verdicts[1]
+    assert duality.name == "duality"
+    assert not duality.passed
+    assert duality.detail == {"lambda": "2", "dims": [1, 0], "reversed_dual": [0, 1]}
