@@ -1,13 +1,13 @@
 """Scalar constants behind the growth estimates: Wallis integrals, C(b), B_n.
 
-Three families live here, all pure numerics on top of ``math``:
+Three families live here, plain numerics on ``math`` and ``numpy``:
 
 * ``wallis(n)`` evaluates omega_n = integral_0^pi sin^{n-1} t dt through the
   classical two-step recurrence.
 * ``c_of_b(n, b)`` solves x * integral_0^b (cosh t + x sinh t)^{n-1} dt =
-  omega_n for its unique positive root.  The left side is strictly
-  increasing in x, so a geometric bracket plus bisection plus a Newton
-  polish is fully reliable; the derivative is computed under the integral.
+  omega_n for its unique positive root: one fixed Gauss-Legendre rule on
+  equal panels, exact to rounding with no tolerance, under a doubling
+  bracket and bisection in log coordinates down to adjacent floats.
 * ``b_n(n, x)`` evaluates the infinite product
   prod_{i>=0} (1 + x nu^i (2 nu^i - 1)^{-1/2})^{2 nu^{-i}} with
   nu = n/(n-2), truncated once the log-increment drops below a cut.  The
@@ -26,14 +26,16 @@ approach and the floor; ``small_b_limit`` gives the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import NumericalError
 
-_MACHINE_EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(np.finfo(float).max)
 
 __all__ = [
     "BoundsConfig",
@@ -52,14 +54,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundsConfig:
-    """Tolerances for quadrature, root-finding, and product truncation."""
+    """C(b)'s bound on |x * integral - omega_n| and B_n's log-increment cut."""
 
-    quad_tol: float = 1e-10
     root_tol: float = 1e-12
     product_cut: float = 1e-12
 
     def __post_init__(self):
-        for name in ("quad_tol", "root_tol", "product_cut"):
+        for name in ("root_tol", "product_cut"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -77,56 +78,50 @@ def wallis(n: int) -> float:
     return values[n - 1]
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson with tolerance relative to a coarse composite estimate."""
-    if a == b:
-        return 0.0
-    coarse = 0.0
-    step = (b - a) / 64
-    fa = f(a)
-    for i in range(64):
-        left = a + i * step
-        coarse += step / 6 * (fa + 4 * f(left + step / 2) + (fa := f(left + step)))
-    budget = tol * max(1.0, abs(coarse))
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
 
-    def recurse(lo, flo, hi, fhi, fmid, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        fq1 = f(0.5 * (lo + mid))
-        fq2 = f(0.5 * (mid + hi))
-        left = (mid - lo) / 6 * (flo + 4 * fq1 + fmid)
-        right = (hi - mid) / 6 * (fmid + 4 * fq2 + fhi)
-        if depth > 48:
-            raise NumericalError("quadrature failed to converge")
-        # once the split disagreement reaches rounding level, further
-        # subdivision only churns noise, so accept regardless of budget
-        noise = 64 * _MACHINE_EPS * (abs(left) + abs(right) + abs(whole))
-        if abs(left + right - whole) <= max(15 * eps, noise):
-            return left + right + (left + right - whole) / 15
-        return recurse(lo, flo, mid, fmid, fq1, left, eps / 2, depth + 1) + recurse(
-            mid, fmid, hi, fhi, fq2, right, eps / 2, depth + 1
-        )
-
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return recurse(a, fa, b, fb, fm, whole, budget, 0)
+    The rule is exact to degree 39.  Newton on the three-term Legendre
+    recurrence from the cosine guesses, built on first use, no eigensolver.
+    """
+    m = 20
+    t = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(8):  # Newton reaches rounding in four steps
+        prev, cur = np.ones_like(t), t
+        for k in range(2, m + 1):
+            prev, cur = cur, ((2 * k - 1) * t * cur - (k - 1) * prev) / k
+        slope = m * (t * cur - prev) / (t * t - 1)
+        t = t - cur / slope
+    weights = 2 / ((1 - t * t) * slope * slope)
+    t.flags.writeable = weights.flags.writeable = False
+    return t, weights
 
 
-def _root_integral(n: int, b: float, x: float, tol: float) -> float:
-    try:
-        return _adaptive_simpson(
-            lambda t: (math.cosh(t) + x * math.sinh(t)) ** (n - 1), 0.0, b, tol
-        )
-    except OverflowError as exc:
-        raise NumericalError(f"integrand overflows for n={n}, b={b}") from exc
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], b: float, panels: int) -> float:
+    """Integral of the vectorised f over [0, b], one Gauss rule per equal panel."""
+    nodes, weights = _gauss_rule()
+    half = 0.5 * b / panels
+    t = half * (2 * np.arange(panels)[:, None] + 1 + nodes)
+    return half * float(np.sum(f(t) @ weights))
 
 
-def _root_integral_dx(n: int, b: float, x: float, tol: float) -> float:
-    return (n - 1) * _adaptive_simpson(
-        lambda t: (math.cosh(t) + x * math.sinh(t)) ** (n - 2) * math.sinh(t),
-        0.0,
-        b,
-        tol,
-    )
+def _root_integral(n: int, b: float, x: float) -> float:
+    """integral_0^b (cosh t + x sinh t)^{n-1} dt, accurate to rounding.
+
+    The integrand's log-derivative is at most (n-1) max(1, x), so on
+    ceil(b (n-1) max(1, x)) panels it grows by at most a factor e across
+    each one, where the fixed rule is exact to rounding.
+    """
+    # the integrand at t = b is at least cosh(b)^{n-1}
+    if (n - 1) * (b - math.log(2) + math.log1p(math.exp(-2 * b))) > _LOG_MAX:
+        raise NumericalError(f"integrand overflows for n={n}, b={b}")
+    panels = math.ceil(b * (n - 1) * max(1.0, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _gauss_legendre(lambda t: (np.cosh(t) + x * np.sinh(t)) ** (n - 1), b, panels)
+    if not math.isfinite(total):
+        raise NumericalError(f"integrand overflows for n={n}, b={b}, x={x}")
+    return total
 
 
 def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
@@ -136,45 +131,32 @@ def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
     if not b > 0:
         raise ValueError("b must be positive")
     omega = wallis(n)
-    tol = min(config.quad_tol, config.root_tol / 100)
+    gaps = {}
 
-    def value(x: float) -> float:
-        return x * _root_integral(n, b, x, tol)
+    def gap(x: float) -> float:
+        gaps[x] = x * _root_integral(n, b, x) - omega
+        return gaps[x]
 
     hi = 1.0
     for _ in range(200):
-        integral = _root_integral(n, b, hi, tol)
-        if hi * integral > omega:
+        if gap(hi) > 0:
             break
         hi *= 2
     else:
         raise NumericalError(f"no sign change found for n={n}, b={b}")
-    # the root can sit dozens of orders of magnitude below hi (the integral
-    # grows like cosh(b)^{n-1}), so bracket and polish in log coordinates,
-    # where plain bisection and Newton steps stay well conditioned
-    lo = omega / integral
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if value(mid) > omega:
+    # the root can sit hundreds of orders of magnitude below hi (the integral
+    # grows like cosh(b)^{n-1}), so bisect in log coordinates from
+    # lo = omega / integral(hi) <= root; sqrt(lo) * sqrt(hi) cannot underflow
+    lo = hi * omega / (gaps[hi] + omega)
+    while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
+        if gap(mid) > 0:
             hi = mid
         else:
             lo = mid
-        if hi / lo <= 1 + 1e-6:
-            break
-    x = math.sqrt(lo * hi)
-    for _ in range(60):
-        integral = _root_integral(n, b, x, tol)
-        v = x * integral
-        if abs(v - omega) <= config.root_tol:
-            return x
-        if v > omega:
-            hi = x
-        else:
-            lo = x
-        slope = integral + x * _root_integral_dx(n, b, x, tol)
-        x_new = x * math.exp(-math.log(v / omega) * integral / slope)
-        x = x_new if lo < x_new < hi else math.sqrt(lo * hi)
-    raise NumericalError(f"root polish stalled at residual {value(x) - omega:.3e}")
+    x = min(gaps, key=lambda x: abs(gaps[x]))
+    if abs(gaps[x]) > config.root_tol:
+        raise NumericalError(f"C(b) residual {gaps[x]:.3e} exceeds root_tol for n={n}, b={b}")
+    return x
 
 
 def small_b_limit(n: int) -> float:
@@ -200,7 +182,7 @@ def b_n_detail(n: int, x: float, config: BoundsConfig = DEFAULT_CONFIG) -> Produ
     """Evaluate prod_{i>=0} (1 + x nu^i (2 nu^i - 1)^{-1/2})^{2 nu^{-i}}."""
     if n < 3:
         raise ValueError("the exponent ratio n/(n-2) needs n >= 3")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return ProductValue(1.0, 0.0, 0)
@@ -211,6 +193,8 @@ def b_n_detail(n: int, x: float, config: BoundsConfig = DEFAULT_CONFIG) -> Produ
         power = nu**i
         term = 2 / power * math.log1p(x * power / math.sqrt(2 * power - 1))
         log_sum += term
+        if not log_sum <= _LOG_MAX:
+            raise NumericalError(f"B_n(x) overflows for n={n}, x={x}")
         i += 1
         if i >= 2 and term < config.product_cut:
             break

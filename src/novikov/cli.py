@@ -219,7 +219,7 @@ def _run_betti(args, parser):
 def _run_wang(args, parser):
     lams = _parse_lambdas(args, parser)
     action = load_action(args.action)
-    profiles = [wang_dims(action, lam, tolerance=args.tolerance) for _, lam in lams]
+    profiles = [wang_dims(action, lam, args.tolerance, args.backend) for _, lam in lams]
     results = {"profiles": [p.to_json() for p in profiles]}
     exact = all(p.backend != "float" for p in profiles)
     table = _table(("lambda", "dims", "euler", "backend"), _profile_rows(results["profiles"]))

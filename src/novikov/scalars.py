@@ -387,8 +387,8 @@ def _arithmetic(lam, entries=_EXACT, backend=None, tolerance=None):
         chosen = _FLOAT
     elif backend not in (None, chosen):
         raise BackendMismatchError(
-            f"lambda {scalar_literal(lam)} has backend {chosen!r}, "
-            f"requested {backend!r}"
+            f"lambda {scalar_literal(lam)} with {entries} entries has backend "
+            f"{chosen!r}, requested {backend!r}"
         )
     if kind == _EXACT:
         lam = _float_of(lam) if chosen == _FLOAT else Fraction(lam)

@@ -130,18 +130,19 @@ def _shifted_block(block: Matrix, lam, backend: str) -> Matrix:
 
 
 def wang_dims(
-    action: FiberCohomologyAction, lam, tolerance: float | None = None
+    action: FiberCohomologyAction, lam, tolerance: float | None = None, backend: str | None = None
 ) -> WangProfile:
     """Twisted dimensions of the bundle from the fiber action at lam.
 
     lam is the monodromy of the local system around the base circle once.
     The backend joins lam with the blocks: float or number-field blocks at
     an exact lam run in float or in the number field, and number field with
-    float is refused.  The exact backends run tolerance-free; the float
+    float is refused.  A requested backend may move exact to float and must
+    otherwise agree.  The exact backends run tolerance-free; the float
     backend counts singular values against the tolerance.
     """
     entries = _join(block.backend for block in action.matrices)
-    lam, backend, tol = _arithmetic(lam, entries, tolerance=tolerance)
+    lam, backend, tol = _arithmetic(lam, entries, backend=backend, tolerance=tolerance)
     nulls = []
     for p in range(action.top_degree + 1):
         block = action.block(p)

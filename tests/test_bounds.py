@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -13,7 +15,8 @@ from novikov.bounds import (
     small_b_limit,
     wallis,
 )
-from novikov.bounds import _adaptive_simpson
+from novikov.bounds import _gauss_legendre, _gauss_rule
+from novikov.errors import NumericalError
 
 
 def closed_form_root_n2_b1():
@@ -34,12 +37,54 @@ def test_wallis_small_values():
 
 def test_wallis_matches_quadrature():
     for n in range(2, 21):
-        direct = _adaptive_simpson(
-            lambda t: math.sin(t) ** (n - 1), 0.0, math.pi, 1e-13
-        )
+        direct = _gauss_legendre(lambda t: np.sin(t) ** (n - 1), math.pi, 4)
         assert abs(wallis(n) - direct) < 1e-12
         oracle, _ = quad(lambda t: math.sin(t) ** (n - 1), 0, math.pi, epsrel=1e-13)
         assert abs(wallis(n) - oracle) < 1e-12
+
+
+def mpmath_root(n, b, start):
+    """Root of the defining equation at 30 digits, omega_n from the gamma function."""
+    with mpmath.workdps(30):
+        omega = mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2) / mpmath.gamma((n + 1) / 2)
+
+        def gap(x):
+            integrand = lambda t: (mpmath.cosh(t) + x * mpmath.sinh(t)) ** (n - 1)
+            return x * mpmath.quad(integrand, [0, b]) - omega
+
+        return mpmath.findroot(gap, mpmath.mpf(start))
+
+
+def test_gauss_rule_matches_numpy():
+    nodes, weights = _gauss_rule()
+    reference_nodes, reference_weights = np.polynomial.legendre.leggauss(20)
+    order = np.argsort(nodes)
+    assert np.allclose(nodes[order], reference_nodes, rtol=0, atol=1e-15)
+    assert np.allclose(weights[order], reference_weights, rtol=0, atol=1e-14)
+
+
+def test_c_of_b_matches_mpmath():
+    for n in (3, 5, 8, 12, 20):
+        for b in (1e-6, 1e-4, 0.0625, 0.5, 2.0):
+            x = c_of_b(n, b)
+            assert abs(x - mpmath_root(n, b, x)) <= 1e-14 * x, (n, b)
+
+
+def test_c_of_b_past_the_old_quadrature_range():
+    # the integrals reach cosh(b)^{n-1} ~ 1e172 and 1e243: the roots are tiny
+    for n, b, approx in [(5, 100.0, 1.444e-172), (30, 20.0, 9.239e-243)]:
+        x = c_of_b(n, b)
+        assert abs(x - approx) <= 1e-3 * approx
+        assert abs(x - mpmath_root(n, b, x)) <= 1e-13 * x, (n, b)
+
+
+def test_root_integral_overflow_raises_numerical_error():
+    # cosh(b)^{n-1} past the float range is refused before any panel is
+    # built; (cosh b + x sinh b)^{n-1} ~ 11^399 overflows inside the rule,
+    # with no RuntimeWarning, and raises after it
+    for n, b, x in [(20, 1000.0, 0.5), (3, math.inf, 0.5), (400, 0.1, 100.0)]:
+        with pytest.raises(NumericalError):
+            bounds._root_integral(n, b, x)
 
 
 def test_c_of_b_closed_form_quadratic():
@@ -149,6 +194,14 @@ def test_b_n_truncation_stability_and_tail():
         # the reported tail bound really covers the discarded factors
         assert finer.value - coarse.value <= coarse.tail_bound + 1e-15
         assert coarse.terms < finer.terms
+
+
+def test_b_n_overflow_raises_numerical_error():
+    for x in (1e200, 1e300, math.inf):
+        with pytest.raises(NumericalError):
+            b_n_detail(3, x)
+    with pytest.raises(ValueError):
+        b_n_detail(3, math.nan)
 
 
 def test_product_value_json():

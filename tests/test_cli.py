@@ -156,6 +156,14 @@ def test_bounds_command_table():
     assert results["b_n"]["value"] > 1
 
 
+def test_bounds_roots_with_a_huge_integral():
+    for n, b in [("30", "20"), ("5", "100")]:
+        proc = run_cli("bounds", "--n", n, "--b", b)
+        assert b"Traceback" not in proc.stderr
+        root = report_of(proc)["results"]["c_of_b"]["root"]
+        assert 0 < root < 1e-170
+
+
 def test_verify_command():
     proc = run_cli(
         "verify", "--suite", "theorem21",
@@ -229,6 +237,7 @@ def test_validation_errors_exit_2(tmp_path):
         ("wang", "--action", str(nf_action), "--lambda", "2.0"),
         ("wang", "--action", str(nf_action), "--lambda", "1+2j"),
         ("wang", "--action", str(float_action), "--lambda", "nf:x^2-3*x+1:x"),
+        ("wang", "--action", str(float_action), "--lambda", "2", "--backend", "exact"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
@@ -270,6 +279,8 @@ def test_numerical_errors_exit_3(tmp_path):
         ("hodge", "--complex", circle3, "--lambda", huge),
         ("wang", "--action", str(action), "--lambda", "2.0"),
         ("wang", "--action", str(action), "--backend", "float", "--lambda", "2"),
+        ("bounds", "--n", "3", "--x", "1e200"),
+        ("bounds", "--n", "3", "--x", "1e300"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv
