@@ -9,7 +9,6 @@ dimensions on curved spaces.
 """
 
 from .bounds import (
-    BoundsConfig,
     ProductValue,
     b_n,
     b_n_detail,
@@ -104,7 +103,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BackendMismatchError",
     "BettiProfile",
-    "BoundsConfig",
     "ConstructionError",
     "CoveringData",
     "FiberCohomologyAction",

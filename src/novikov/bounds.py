@@ -6,11 +6,12 @@ Three families live here, plain numerics on ``math`` and ``numpy``:
   classical two-step recurrence.
 * ``c_of_b(n, b)`` solves x * integral_0^b (cosh t + x sinh t)^{n-1} dt =
   omega_n for its unique positive root: one fixed Gauss-Legendre rule on
-  equal panels, exact to rounding with no tolerance, under a doubling
-  bracket and bisection in log coordinates down to adjacent floats.
+  equal panels, exact to rounding with no tolerance, under bisection in log
+  coordinates down to adjacent floats from a bracket known in closed form.
+  The root is refused (NumericalError) when its residual exceeds 1e-12.
 * ``b_n(n, x)`` evaluates the infinite product
   prod_{i>=0} (1 + x nu^i (2 nu^i - 1)^{-1/2})^{2 nu^{-i}} with
-  nu = n/(n-2), truncated once the log-increment drops below a cut.  The
+  nu = n/(n-2), truncated once the log-increment drops below 1e-12.  The
   discarded tail is bounded by the geometric envelope
   2 nu^{-i} (log(1+x) + i log nu) and reported as an error bar, never
   folded into the value.
@@ -36,10 +37,10 @@ import numpy as np
 from .errors import NumericalError
 
 _LOG_MAX = math.log(np.finfo(float).max)
+_ROOT_TOL = 1e-12  # bound on |x * integral - omega_n| at the returned C(b)
+_PRODUCT_CUT = 1e-12  # B_n stops at the first log-increment below this
 
 __all__ = [
-    "BoundsConfig",
-    "DEFAULT_CONFIG",
     "wallis",
     "c_of_b",
     "small_b_limit",
@@ -50,22 +51,6 @@ __all__ = [
     "BcTable",
     "bc_limit_check",
 ]
-
-
-@dataclass(frozen=True)
-class BoundsConfig:
-    """C(b)'s bound on |x * integral - omega_n| and B_n's log-increment cut."""
-
-    root_tol: float = 1e-12
-    product_cut: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("root_tol", "product_cut"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-
-DEFAULT_CONFIG = BoundsConfig()
 
 
 def wallis(n: int) -> float:
@@ -124,7 +109,7 @@ def _root_integral(n: int, b: float, x: float) -> float:
     return total
 
 
-def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
+def c_of_b(n: int, b: float) -> float:
     """Unique positive root of x * integral_0^b (cosh t + x sinh t)^{n-1} dt = omega_n."""
     if n < 2:
         raise ValueError("c_of_b needs n >= 2")
@@ -137,25 +122,24 @@ def c_of_b(n: int, b: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
         gaps[x] = x * _root_integral(n, b, x) - omega
         return gaps[x]
 
-    hi = 1.0
-    for _ in range(200):
-        if gap(hi) > 0:
-            break
-        hi *= 2
-    else:
-        raise NumericalError(f"no sign change found for n={n}, b={b}")
+    # cosh t >= 1 and sinh t >= t give x * integral >= ((1 + x b)^n - 1) / n,
+    # which reaches omega_n at x = small_b_limit(n) / b, so the gap at twice
+    # that is positive and the root lies below it
+    hi = 2 * small_b_limit(n) / b
+    if hi * omega == math.inf:
+        raise NumericalError(f"C(b) is past the float range for n={n}, b={b}")
     # the root can sit hundreds of orders of magnitude below hi (the integral
     # grows like cosh(b)^{n-1}), so bisect in log coordinates from
     # lo = omega / integral(hi) <= root; sqrt(lo) * sqrt(hi) cannot underflow
-    lo = hi * omega / (gaps[hi] + omega)
+    lo = hi * omega / (gap(hi) + omega)
     while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
         if gap(mid) > 0:
             hi = mid
         else:
             lo = mid
     x = min(gaps, key=lambda x: abs(gaps[x]))
-    if abs(gaps[x]) > config.root_tol:
-        raise NumericalError(f"C(b) residual {gaps[x]:.3e} exceeds root_tol for n={n}, b={b}")
+    if abs(gaps[x]) > _ROOT_TOL:
+        raise NumericalError(f"C(b) residual {gaps[x]:.3e} exceeds {_ROOT_TOL:g} for n={n}, b={b}")
     return x
 
 
@@ -178,7 +162,7 @@ class ProductValue:
         return {"value": self.value, "tail_bound": self.tail_bound, "terms": self.terms}
 
 
-def b_n_detail(n: int, x: float, config: BoundsConfig = DEFAULT_CONFIG) -> ProductValue:
+def b_n_detail(n: int, x: float) -> ProductValue:
     """Evaluate prod_{i>=0} (1 + x nu^i (2 nu^i - 1)^{-1/2})^{2 nu^{-i}}."""
     if n < 3:
         raise ValueError("the exponent ratio n/(n-2) needs n >= 3")
@@ -196,7 +180,7 @@ def b_n_detail(n: int, x: float, config: BoundsConfig = DEFAULT_CONFIG) -> Produ
         if not log_sum <= _LOG_MAX:
             raise NumericalError(f"B_n(x) overflows for n={n}, x={x}")
         i += 1
-        if i >= 2 and term < config.product_cut:
+        if i >= 2 and term < _PRODUCT_CUT:
             break
         if i > 10_000:
             raise NumericalError("product truncation did not trigger")
@@ -209,8 +193,8 @@ def b_n_detail(n: int, x: float, config: BoundsConfig = DEFAULT_CONFIG) -> Produ
     return ProductValue(value, value * math.expm1(tail_log), i)
 
 
-def b_n(n: int, x: float, config: BoundsConfig = DEFAULT_CONFIG) -> float:
-    return b_n_detail(n, x, config).value
+def b_n(n: int, x: float) -> float:
+    return b_n_detail(n, x).value
 
 
 @dataclass(frozen=True)
@@ -254,9 +238,7 @@ class BcTable:
         }
 
 
-def bc_limit_check(
-    n: int, b_grid: Sequence[float], config: BoundsConfig = DEFAULT_CONFIG
-) -> BcTable:
+def bc_limit_check(n: int, b_grid: Sequence[float]) -> BcTable:
     """Tabulate b * C(b) against omega_n on a positive decreasing grid."""
     grid = [float(b) for b in b_grid]
     if not grid or any(b <= 0 for b in grid):
@@ -264,7 +246,7 @@ def bc_limit_check(
     if any(b1 <= b2 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly decreasing")
     omega = wallis(n)
-    rows = tuple(BcRow(b, b * c_of_b(n, b, config), omega) for b in grid)
+    rows = tuple(BcRow(b, b * c_of_b(n, b), omega) for b in grid)
     gaps = [row.gap for row in rows]
     return BcTable(
         n=n,

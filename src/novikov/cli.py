@@ -7,23 +7,23 @@ validation problems (malformed files, bad cocycles, rejected maps), 3
 numerical failures, 64 usage errors.
 
 Reports from exact-backend jobs carry no timing field and are dumped with
-sorted keys, so reruns produce byte-identical files.  Default tolerances
-can be overridden by the environment variables NOVIKOV_TOLERANCE (rank
-decisions) and NOVIKOV_HARMONIC_THRESHOLD (harmonic cutoffs); explicit
-flags win over both.
+sorted keys, so reruns produce byte-identical files.  Lambda literals are
+parsed as written; ``--backend`` and ``--tolerance`` go to the library
+calls, whose one backend decision applies them.  An absent ``--tolerance``
+or ``--threshold`` takes the library default and stays out of the report's
+parameters.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
 
 from . import __version__
-from .bounds import BoundsConfig, b_n_detail, bc_limit_check, c_of_b, wallis
+from .bounds import b_n_detail, bc_limit_check, c_of_b, wallis
 from .constructions import SimplicialMap, cyclic_cover, mapping_torus, product
 from .errors import NovikovError, NumericalError
 from .hodge import (
@@ -32,7 +32,7 @@ from .hodge import (
     _dim_and_gap,
     laplacian_spectrum,
 )
-from .scalars import parse_scalar, scalar_literal
+from .scalars import parse_scalar
 from .serialization import (
     SCHEMA,
     file_digest,
@@ -71,16 +71,6 @@ def _attach_negative_values(argv):
         else:
             out.append(arg)
     return out
-
-
-def _env_float(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name}={raw!r} is not a number") from exc
 
 
 def _build_parser() -> _Parser:
@@ -161,10 +151,9 @@ def _build_parser() -> _Parser:
 
 def _parse_lambdas(args, parser):
     """Literals from --lambda and floats from --lambda-grid, in order."""
-    backend = getattr(args, "backend", None)
     lams = []
     for lit in args.lams or ():
-        lams.append((lit, parse_scalar(lit, backend=backend)))
+        lams.append((lit, parse_scalar(lit)))
     if getattr(args, "lambda_grid", None):
         for piece in args.lambda_grid.split(","):
             value = float(piece)
@@ -334,11 +323,7 @@ def _run_hodge(args, parser):
     if args.weights:
         weights = InnerProduct(k, load_weights(args.weights))
         inputs["weights"] = _input_entry(args.weights)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = _env_float("NOVIKOV_HARMONIC_THRESHOLD")
-    if threshold is None:
-        threshold = DEFAULT_HARMONIC_THRESHOLD
+    threshold = DEFAULT_HARMONIC_THRESHOLD if args.threshold is None else args.threshold
     entries = []
     for lit, lam in lams:
         dims, gaps = zip(*(
@@ -366,20 +351,19 @@ def _run_hodge(args, parser):
 def _run_bounds(args, parser):
     if args.n < 2:
         raise NovikovError("--n must be at least 2")
-    config = BoundsConfig()
     results = {"n": args.n, "omega": wallis(args.n)}
     rows = [("omega", f"{results['omega']:.12g}")]
     if args.b is not None:
-        root = c_of_b(args.n, args.b, config)
+        root = c_of_b(args.n, args.b)
         results["c_of_b"] = {"b": args.b, "root": root, "b_times_root": args.b * root}
         rows.append((f"C({args.b:g})", f"{root:.12g}"))
     if args.x is not None:
-        detail = b_n_detail(args.n, args.x, config)
+        detail = b_n_detail(args.n, args.x)
         results["b_n"] = {"x": args.x, **detail.to_json()}
         rows.append((f"B_n({args.x:g})", f"{detail.value:.12g} (tail <= {detail.tail_bound:.3g})"))
     if args.grid:
         grid = [float(piece) for piece in args.grid.split(",")]
-        table_data = bc_limit_check(args.n, grid, config)
+        table_data = bc_limit_check(args.n, grid)
         results["bc_table"] = table_data.to_json()
         for row in table_data.rows:
             rows.append((f"b*C at b={row.b:g}", f"{row.bc:.12g} (gap {row.gap:.3g})"))
@@ -430,8 +414,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command is None:
         parser.error("a command is required")
-    if getattr(args, "tolerance", "absent") is None:
-        args.tolerance = _env_float("NOVIKOV_TOLERANCE")
 
     started = time.perf_counter()
     try:

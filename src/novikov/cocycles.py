@@ -4,7 +4,8 @@ A OneCocycle stores one value per increasing edge (u, v), u < v; reading
 the reversed edge negates the value.  Exact mode keeps integer values so
 that monodromy weights lambda**theta(e) stay inside the scalar field;
 float mode allows real values.  Closedness means the signed sum over every
-triangle vanishes.
+triangle vanishes: exactly in exact mode, to within CLOSEDNESS_TOLERANCE in
+float mode.
 """
 
 from __future__ import annotations
@@ -128,12 +129,11 @@ def _require_cover(k: SimplicialComplex, theta: OneCocycle):
         )
 
 
-def validate_closed(
-    k: SimplicialComplex, theta: OneCocycle, tolerance: float = CLOSEDNESS_TOLERANCE
-) -> bool:
+def validate_closed(k: SimplicialComplex, theta: OneCocycle) -> bool:
     """True when the signed sum over every 2-simplex vanishes.
 
-    Exact mode demands exact zero; float mode allows |residual| <= tolerance.
+    Exact mode demands exact zero; float mode allows
+    |residual| <= CLOSEDNESS_TOLERANCE.
     Raises IncompleteCocycleError when edge values are missing.
     """
     _require_cover(k, theta)
@@ -144,7 +144,7 @@ def validate_closed(
         if theta.mode == "exact":
             if residual != 0:
                 return False
-        elif abs(residual) > tolerance:
+        elif abs(residual) > CLOSEDNESS_TOLERANCE:
             return False
     return True
 

@@ -51,7 +51,7 @@ class SimplicialMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "vertex_map", vm)
         for s in source.maximal_simplices():
-            img = tuple(sorted(set(vm[v] for v in s)))
+            img = self.image_simplex(s)
             if not target.has_simplex(img):
                 raise InvalidMapError(
                     f"image {img} of simplex {s} is not a simplex of the target"
@@ -181,17 +181,6 @@ class MappingTorus:
         return v * self.layers + layer % self.layers
 
 
-def _prism_chains(simplex, bottom_ids, top_ids):
-    """Staircase split of simplex x [0, 1] into top-dimensional chains."""
-    p = len(simplex) - 1
-    out = []
-    for i in range(p + 1):
-        chain = [bottom_ids[j] for j in range(i + 1)]
-        chain += [top_ids[j] for j in range(i, p + 1)]
-        out.append(tuple(sorted(chain)))
-    return out
-
-
 def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) -> MappingTorus:
     """Mapping torus of a simplicial automorphism.
 
@@ -218,7 +207,10 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
                 top = [vid(v, level + 1) for v in s]
             else:
                 top = [vid(phi.image_vertex(v), 0) for v in s]
-            maximal.extend(_prism_chains(s, bottom, top))
+            # the staircase of s x [0, 1]: (i, 0) is bottom[i], (i, 1) top[i]
+            levels = (bottom, top)
+            for path in _staircase_paths(len(s) - 1, 1):
+                maximal.append(tuple(sorted(levels[j][i] for i, j in path)))
     glued = SimplicialComplex.build(maximal, vertex_count=base.vertex_count * layers)
     # each layer adds a copy of the base plus, in dimension r, r staircase
     # simplices over every r-simplex of the base (one per step position)

@@ -634,12 +634,13 @@ def _float_of(value) -> float:
         raise NumericalError("exact scalar leaves the float range") from None
 
 
-def parse_scalar(text: str, backend: str | None = None):
+def parse_scalar(text: str):
     """Parse a scalar literal.
 
     Accepted forms: integers "2", rationals "5/7", decimals "2.5"/"1e-3",
     complex "1+2j", and number field elements "nf:<minpoly>:<element>"
-    (e.g. "nf:x^2-3*x+1:x").  The optional backend forces the result kind.
+    (e.g. "nf:x^2-3*x+1:x").  The kind is the literal's own; a computation
+    moves it to its backend through ``_arithmetic``.
     """
     text = text.strip()
     if text.startswith("nf:"):
@@ -647,25 +648,13 @@ def parse_scalar(text: str, backend: str | None = None):
         if len(parts) != 3:
             raise ValueError("number field literal must be nf:<minpoly>:<element>")
         minpoly = MinimalPolynomial.parse(parts[1])
-        elem = NumberFieldElement(parse_polynomial(parts[2]), minpoly)
-        if backend not in (None, _NF):
-            raise BackendMismatchError(f"nf literal with backend {backend!r}")
-        return elem
-    value: object
+        return NumberFieldElement(parse_polynomial(parts[2]), minpoly)
     if re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
-        value = Fraction(text)
-    else:
-        try:
-            value = complex(text) if "j" in text else float(text)
-        except ValueError as exc:
-            raise ValueError(f"cannot parse scalar literal {text!r}") from exc
-    if backend == _FLOAT and isinstance(value, Fraction):
-        return _float_of(value)
-    if backend in (_EXACT, None) and isinstance(value, Fraction):
-        return value
-    if backend == _EXACT and not isinstance(value, Fraction):
-        raise BackendMismatchError(f"literal {text!r} is not exact")
-    return value
+        return Fraction(text)
+    try:
+        return complex(text) if "j" in text else float(text)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse scalar literal {text!r}") from exc
 
 
 def scalar_literal(value) -> str:

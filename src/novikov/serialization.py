@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 from .cocycles import OneCocycle
 from .complexes import SimplicialComplex

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from novikov import bounds
 from novikov.bounds import (
-    BoundsConfig,
     b_n,
     b_n_detail,
     bc_limit_check,
@@ -78,6 +77,23 @@ def test_c_of_b_past_the_old_quadrature_range():
         assert abs(x - mpmath_root(n, b, x)) <= 1e-13 * x, (n, b)
 
 
+def test_c_of_b_past_the_old_bracket():
+    # the root sits near small_b_limit(n) / b: at n=2, b=1e-300 that is past
+    # the 2^200 a doubling bracket from x = 1 reached, and at n=20, b=37.5
+    # the integrand overflowed at x = 1
+    x = c_of_b(2, 1e-300)
+    with mpmath.workdps(30):
+        b = mpmath.mpf(1e-300)
+        # n = 2 integrates in closed form: 2 sinh(b/2)^2 x^2 + sinh(b) x = 2
+        a, s = 2 * mpmath.sinh(b / 2) ** 2, mpmath.sinh(b)
+        root = (-s + mpmath.sqrt(s * s + 8 * a)) / (2 * a)
+    assert abs(x - root) <= 1e-15 * x
+    assert abs(x - small_b_limit(2) / 1e-300) <= 1e-15 * x
+    x = c_of_b(20, 37.5)
+    assert abs(x - 2.077e-303) <= 1e-3 * x
+    assert abs(x - mpmath_root(20, 37.5, x)) <= 1e-13 * x
+
+
 def test_root_integral_overflow_raises_numerical_error():
     # cosh(b)^{n-1} past the float range is refused before any panel is
     # built; (cosh b + x sinh b)^{n-1} ~ 11^399 overflows inside the rule,
@@ -130,8 +146,6 @@ def test_c_of_b_validation():
         c_of_b(1, 1.0)
     with pytest.raises(ValueError):
         c_of_b(3, 0.0)
-    with pytest.raises(ValueError):
-        BoundsConfig(root_tol=0.0)
 
 
 def test_small_b_behavior():
@@ -185,15 +199,27 @@ def test_b_n_inequalities():
             assert b_n(n, x) <= cap * x ** (2 * nu / (nu - 1)) * (1 + 1e-12)
 
 
+def finer_b_n(n, x, cut=1e-16):
+    """B_n(x) with its log-increments summed down to cut, and the term count."""
+    nu = n / (n - 2)
+    log_sum, i = 0.0, 0
+    while True:
+        power = nu**i
+        term = 2 / power * math.log1p(x * power / math.sqrt(2 * power - 1))
+        log_sum += term
+        i += 1
+        if i >= 2 and term < cut:
+            return math.exp(log_sum), i
+
+
 def test_b_n_truncation_stability_and_tail():
-    fine = BoundsConfig(product_cut=1e-16)
     for n, x in [(3, 1.0), (4, 1.0), (3, 100.0), (10, 7.5)]:
         coarse = b_n_detail(n, x)
-        finer = b_n_detail(n, x, fine)
-        assert abs(coarse.value - finer.value) <= 1e-9 * finer.value
+        finer, terms = finer_b_n(n, x)
+        assert abs(coarse.value - finer) <= 1e-9 * finer
         # the reported tail bound really covers the discarded factors
-        assert finer.value - coarse.value <= coarse.tail_bound + 1e-15
-        assert coarse.terms < finer.terms
+        assert finer - coarse.value <= coarse.tail_bound + 1e-15
+        assert coarse.terms < terms
 
 
 def test_b_n_overflow_raises_numerical_error():

@@ -1,23 +1,16 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 from novikov import cli, hodge
+from novikov.bounds import small_b_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "novikov.cli", *argv],
-        capture_output=True,
-        env=env,
-    )
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "novikov.cli", *argv], capture_output=True)
 
 
 def report_of(proc):
@@ -99,6 +92,17 @@ def test_lambda_grid_sweep_reports_timing():
     assert "timing_seconds" in report
 
 
+def test_backend_float_runs_an_exact_literal_in_float():
+    proc = run_cli(
+        "betti", "--complex", str(FIXTURES / "torus2.json"), "--lambda", "2",
+        "--backend", "float",
+    )
+    profile = report_of(proc)["results"]["profiles"][0]
+    assert profile["lambda"] == "2.0"
+    assert profile["backend"] == "float"
+    assert profile["dims"] == [0, 0, 0]
+
+
 def test_product_command_checks_convolution():
     proc = run_cli(
         "product", "--left", str(FIXTURES / "torus2.json"),
@@ -136,8 +140,7 @@ def test_cover_command_strict_case():
 def test_hodge_command_and_threshold_env():
     proc = run_cli(
         "hodge", "--complex", str(FIXTURES / "torus2.json"),
-        "--lambda", "1.0", "--lambda", "2.0",
-        env_extra={"NOVIKOV_HARMONIC_THRESHOLD": "1e-7"},
+        "--lambda", "1.0", "--lambda", "2.0", "--threshold", "1e-7",
     )
     report = report_of(proc)
     assert report["results"]["threshold"] == 1e-7
@@ -162,6 +165,12 @@ def test_bounds_roots_with_a_huge_integral():
         assert b"Traceback" not in proc.stderr
         root = report_of(proc)["results"]["c_of_b"]["root"]
         assert 0 < root < 1e-170
+
+
+def test_bounds_root_near_the_largest_double():
+    proc = run_cli("bounds", "--n", "2", "--b", "1e-300")
+    root = report_of(proc)["results"]["c_of_b"]["root"]
+    assert abs(root - small_b_limit(2) / 1e-300) <= 1e-15 * root
 
 
 def test_verify_command():
@@ -234,6 +243,7 @@ def test_validation_errors_exit_2(tmp_path):
         ("hodge", "--complex", circle3, "--lambda", "inf"),
         ("betti", "--complex", circle3, "--lambda", "nan"),
         ("betti", "--complex", circle3, "--lambda", "1.0", "--tolerance", "0"),
+        ("betti", "--complex", circle3, "--lambda", "2.5", "--backend", "exact"),
         ("wang", "--action", str(nf_action), "--lambda", "2.0"),
         ("wang", "--action", str(nf_action), "--lambda", "1+2j"),
         ("wang", "--action", str(float_action), "--lambda", "nf:x^2-3*x+1:x"),
@@ -281,6 +291,7 @@ def test_numerical_errors_exit_3(tmp_path):
         ("wang", "--action", str(action), "--backend", "float", "--lambda", "2"),
         ("bounds", "--n", "3", "--x", "1e200"),
         ("bounds", "--n", "3", "--x", "1e300"),
+        ("bounds", "--n", "2", "--b", "1e-310"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv
@@ -327,7 +338,7 @@ def test_negative_literals_follow_lambda_as_separate_arguments(tmp_path):
 def test_tolerance_env_override():
     proc = run_cli(
         "betti", "--complex", str(FIXTURES / "torus2.json"), "--lambda", "1.0",
-        env_extra={"NOVIKOV_TOLERANCE": "1e-6"},
+        "--tolerance", "1e-6",
     )
     profile = report_of(proc)["results"]["profiles"][0]
     assert profile["tolerance"] == 1e-6

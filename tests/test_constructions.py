@@ -220,7 +220,7 @@ def test_mapping_torus_builds_one_complex_and_checks_its_counts(monkeypatch):
     assert vertex_counts == [12]
     # a prism split that drops simplices must trip the count check
     monkeypatch.setattr(
-        constructions, "_prism_chains", lambda s, bottom, top: [tuple(bottom) + (top[-1],)]
+        constructions, "_staircase_paths", lambda p, q: [[(i, 0) for i in range(p + 1)] + [(p, 1)]]
     )
     with pytest.raises(ConstructionError, match="seam gluing"):
         mapping_torus(c, ident, layers=4)

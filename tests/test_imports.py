@@ -1,0 +1,51 @@
+"""Every name a module of the package imports is used there.
+
+A standard-library stand-in for pyflakes' unused-import check: an imported
+name counts as used when it appears as a name anywhere in the module (an
+attribute's root included) or is listed in the module's ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "novikov"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_checker_finds_an_unused_import():
+    source = "\n".join(
+        [
+            "import os",
+            "import numpy as np",
+            "from math import pi, tau",
+            "__all__ = ['tau']",
+            "np.sin(pi)",
+        ]
+    )
+    assert unused_imports(source) == ["os (line 1)"]
+
+
+def test_package_has_no_unused_imports():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    found = {path.name: unused_imports(path.read_text()) for path in modules}
+    assert not {name: names for name, names in found.items() if names}

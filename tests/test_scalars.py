@@ -282,9 +282,6 @@ def test_parse_scalar_literals():
     assert parse_scalar("1+2j") == 1 + 2j
     lam = parse_scalar("nf:x^2-3*x+1:x")
     assert lam == NumberFieldElement.generator(GOLDEN)
-    assert parse_scalar("2", backend="float") == 2.0
-    with pytest.raises(BackendMismatchError):
-        parse_scalar("2.5", backend="exact")
     with pytest.raises(ValueError):
         parse_scalar("zebra")
 
