@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,14 +125,17 @@ def c_of_b(n: int, b: float) -> float:
 
     # cosh t >= 1 and sinh t >= t give x * integral >= ((1 + x b)^n - 1) / n,
     # which reaches omega_n at x = small_b_limit(n) / b, so the gap at twice
-    # that is positive and the root lies below it
-    hi = 2 * small_b_limit(n) / b
-    if hi * omega == math.inf:
-        raise NumericalError(f"C(b) is past the float range for n={n}, b={b}")
+    # that is positive and the root lies below it; capped at the largest
+    # double, the gap there says whether the root is still a float
+    hi = min(2 * small_b_limit(n) / b, sys.float_info.max)
+    integral = _root_integral(n, b, hi)
+    gaps[hi] = hi * integral - omega
     # the root can sit hundreds of orders of magnitude below hi (the integral
     # grows like cosh(b)^{n-1}), so bisect in log coordinates from
     # lo = omega / integral(hi) <= root; sqrt(lo) * sqrt(hi) cannot underflow
-    lo = hi * omega / (gap(hi) + omega)
+    lo = omega / integral if gaps[hi] > 0 else math.inf
+    if lo == math.inf:
+        raise NumericalError(f"C(b) is past the float range for n={n}, b={b}")
     while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
         if gap(mid) > 0:
             hi = mid

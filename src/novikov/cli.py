@@ -6,11 +6,15 @@ plain-text table goes to stderr for humans.  Exit codes: 0 success, 2
 validation problems (malformed files, bad cocycles, rejected maps), 3
 numerical failures, 64 usage errors.
 
-Reports from exact-backend jobs carry no timing field and are dumped with
-sorted keys, so reruns produce byte-identical files.  Lambda literals are
-parsed as written; ``--backend`` and ``--tolerance`` go to the library
-calls, whose one backend decision applies them.  An absent ``--tolerance``
-or ``--threshold`` takes the library default and stays out of the report's
+Every job has one shape: ``main`` parses the lambdas of the commands that
+take them, the runner computes and returns the backends it ran in, and
+``main`` adds ``timing_seconds`` to the report exactly when ``"float"`` is
+among them (``hodge`` and ``bounds`` are float computations, ``verify`` is
+exact).  Reports are dumped with sorted keys, so an exact job's reruns
+produce byte-identical files.  Lambda literals are parsed as written;
+``--backend`` and ``--tolerance`` go to the library calls, whose one
+backend decision applies them.  An absent ``--tolerance`` or
+``--threshold`` takes the library default and stays out of the report's
 parameters.
 """
 
@@ -32,7 +36,7 @@ from .hodge import (
     _dim_and_gap,
     laplacian_spectrum,
 )
-from .scalars import parse_scalar
+from .scalars import parse_scalar, scalar_literal
 from .serialization import (
     SCHEMA,
     file_digest,
@@ -78,86 +82,77 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"novikov {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_lambda_opts(p):
-        p.add_argument(
-            "--lambda",
-            dest="lams",
-            action="append",
-            metavar="LIT",
-            help="monodromy scalar literal: 2, 5/7, -1.5, 1+2j, nf:x^2-3*x+1:x "
-            "(repeatable)",
-        )
-        p.add_argument(
-            "--lambda-grid",
-            metavar="A,B,...",
-            help="comma-separated float monodromies, one profile per value",
-        )
-        p.add_argument("--backend", choices=("exact", "float"), default=None)
-        p.add_argument("--tolerance", type=float, default=None, help="float rank cut")
+    # option groups shared by several subcommands, declared once each
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the JSON report here instead of stdout")
+    lambdas = argparse.ArgumentParser(add_help=False)
+    lambdas.add_argument(
+        "--lambda",
+        dest="lams",
+        action="append",
+        metavar="LIT",
+        help="monodromy scalar literal: 2, 5/7, -1.5, 1+2j, nf:x^2-3*x+1:x (repeatable)",
+    )
+    lambdas.add_argument(
+        "--lambda-grid",
+        metavar="A,B,...",
+        help="comma-separated float monodromies, one profile per value",
+    )
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--backend", choices=("exact", "float"), default=None)
+    backend.add_argument("--tolerance", type=float, default=None, help="float rank cut")
+    profile = [lambdas, backend, output]
 
-    p = sub.add_parser("betti", help="twisted cohomology dimensions of a complex")
+    p = sub.add_parser("betti", parents=profile, help="twisted cohomology dimensions of a complex")
     p.add_argument("--complex", required=True, help="complex JSON with its cocycle")
-    add_lambda_opts(p)
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("wang", help="dimension counts from a fiber cohomology action")
+    p = sub.add_parser(
+        "wang", parents=profile, help="dimension counts from a fiber cohomology action"
+    )
     p.add_argument("--action", required=True, help="action JSON (blocks per degree)")
-    add_lambda_opts(p)
-    p.add_argument("--output")
 
-    p = sub.add_parser("product", help="staircase product of two complexes")
+    p = sub.add_parser("product", parents=profile, help="staircase product of two complexes")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    add_lambda_opts(p)
-    p.add_argument("--output")
 
-    p = sub.add_parser("mapping-torus", help="mapping torus of a self-isomorphism")
+    p = sub.add_parser("mapping-torus", parents=profile, help="mapping torus of a self-isomorphism")
     p.add_argument("--complex", required=True)
     p.add_argument("--map", required=True, help="JSON list: image vertex per vertex")
     p.add_argument("--layers", type=int, default=3)
-    add_lambda_opts(p)
-    p.add_argument("--output")
 
-    p = sub.add_parser("cover", help="cyclic cover classified by the cocycle")
+    p = sub.add_parser("cover", parents=profile, help="cyclic cover classified by the cocycle")
     p.add_argument("--complex", required=True)
     p.add_argument("--sheets", type=int, required=True)
-    add_lambda_opts(p)
-    p.add_argument("--output")
 
-    p = sub.add_parser("hodge", help="harmonic dimensions and spectral gaps")
+    p = sub.add_parser(
+        "hodge", parents=[lambdas, output], help="harmonic dimensions and spectral gaps"
+    )
     p.add_argument("--complex", required=True)
-    p.add_argument("--lambda", dest="lams", action="append", metavar="LIT")
-    p.add_argument("--lambda-grid", metavar="A,B,...")
     p.add_argument("--weights", help="weights JSON for the inner product")
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--output")
 
-    p = sub.add_parser("bounds", help="omega_n, C(b), B_n(x), and the b*C(b) table")
+    p = sub.add_parser(
+        "bounds", parents=[output], help="omega_n, C(b), B_n(x), and the b*C(b) table"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float)
     p.add_argument("--x", type=float)
     p.add_argument("--grid", metavar="B1,B2,...", help="decreasing b grid for the table")
-    p.add_argument("--output")
 
-    p = sub.add_parser("verify", help="run a named invariant suite")
+    p = sub.add_parser("verify", parents=[output], help="run a named invariant suite")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--complex", help="fixture for theorem21")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--output")
 
     return parser
 
 
 def _parse_lambdas(args, parser):
-    """Literals from --lambda and floats from --lambda-grid, in order."""
-    lams = []
-    for lit in args.lams or ():
-        lams.append((lit, parse_scalar(lit)))
-    if getattr(args, "lambda_grid", None):
-        for piece in args.lambda_grid.split(","):
-            value = float(piece)
-            lams.append((piece.strip(), value))
+    """(literal, value) pairs from --lambda, then floats from --lambda-grid."""
+    lams = [(lit, parse_scalar(lit)) for lit in args.lams or ()]
+    if args.lambda_grid:
+        lams.extend((piece.strip(), float(piece)) for piece in args.lambda_grid.split(","))
     if not lams:
         parser.error("at least one --lambda or --lambda-grid value is required")
     return lams
@@ -178,76 +173,66 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _require_cocycle(theta, path):
-    if theta is None:
-        raise NovikovError(f"{path} carries no cocycle; this command needs one")
-    return theta
+def _load_with_cocycles(*paths):
+    """Load every complex file, then require a cocycle on each, in that order."""
+    loaded = [load_complex(path) for path in paths]
+    for path, (_, theta) in zip(paths, loaded):
+        if theta is None:
+            raise NovikovError(f"{path} carries no cocycle; this command needs one")
+    return loaded
 
 
-def _profile_rows(profiles):
-    return [
-        (p["lambda"], " ".join(str(d) for d in p["dims"]), p["euler"], p["backend"])
-        for p in profiles
-    ]
+def _betti(args, k, theta, lam):
+    return betti_profile(k, theta, lam, backend=args.backend, tolerance=args.tolerance)
 
 
-def _run_betti(args, parser):
-    lams = _parse_lambdas(args, parser)
-    k, theta = load_complex(args.complex)
-    _require_cocycle(theta, args.complex)
-    profiles = [
-        betti_profile(k, theta, lam, backend=args.backend, tolerance=args.tolerance)
-        for _, lam in lams
-    ]
+def _dims_text(profile) -> str:
+    return " ".join(map(str, profile.dims))
+
+
+def _profile_table(profiles) -> str:
+    return _table(
+        ("lambda", "dims", "euler", "backend"),
+        [(scalar_literal(p.lam), _dims_text(p), p.euler, p.backend) for p in profiles],
+    )
+
+
+def _run_betti(args, lams):
+    [(k, theta)] = _load_with_cocycles(args.complex)
+    profiles = [_betti(args, k, theta, lam) for _, lam in lams]
     results = {"counts": list(k.counts()), "profiles": [p.to_json() for p in profiles]}
-    exact = all(p.backend != "float" for p in profiles)
-    table = _table(("lambda", "dims", "euler", "backend"), _profile_rows(results["profiles"]))
-    return results, {"complex": _input_entry(args.complex)}, exact, table
+    backends = [p.backend for p in profiles]
+    return results, {"complex": _input_entry(args.complex)}, backends, _profile_table(profiles)
 
 
-def _run_wang(args, parser):
-    lams = _parse_lambdas(args, parser)
+def _run_wang(args, lams):
     action = load_action(args.action)
     profiles = [wang_dims(action, lam, args.tolerance, args.backend) for _, lam in lams]
     results = {"profiles": [p.to_json() for p in profiles]}
-    exact = all(p.backend != "float" for p in profiles)
-    table = _table(("lambda", "dims", "euler", "backend"), _profile_rows(results["profiles"]))
-    return results, {"action": _input_entry(args.action)}, exact, table
+    backends = [p.backend for p in profiles]
+    return results, {"action": _input_entry(args.action)}, backends, _profile_table(profiles)
 
 
-def _run_product(args, parser):
-    lams = _parse_lambdas(args, parser)
-    kl, tl = load_complex(args.left)
-    kr, tr = load_complex(args.right)
-    _require_cocycle(tl, args.left)
-    _require_cocycle(tr, args.right)
+def _run_product(args, lams):
+    (kl, tl), (kr, tr) = _load_with_cocycles(args.left, args.right)
     prod = product(kl, kr)
-    combined = prod.combine_cocycles(tl, tr)
-    profiles = []
-    convolution_ok = True
-    for _, lam in lams:
-        left = betti_profile(kl, tl, lam, backend=args.backend, tolerance=args.tolerance)
-        right = betti_profile(kr, tr, lam, backend=args.backend, tolerance=args.tolerance)
-        total = betti_profile(
-            prod.complex, combined, lam, backend=args.backend, tolerance=args.tolerance
-        )
-        convolution_ok = convolution_ok and kunneth_check(left, right, total)
-        profiles.append({"factors": [left.to_json(), right.to_json()], "product": total.to_json()})
+    spaces = ((kl, tl), (kr, tr), (prod.complex, prod.combine_cocycles(tl, tr)))
+    triples = [[_betti(args, k, theta, lam) for k, theta in spaces] for _, lam in lams]
+    convolution_ok = all(kunneth_check(*triple) for triple in triples)
     results = {
         "counts": list(prod.complex.counts()),
-        "profiles": profiles,
+        "profiles": [
+            {"factors": [left.to_json(), right.to_json()], "product": total.to_json()}
+            for left, right, total in triples
+        ],
         "convolution_ok": convolution_ok,
     }
-    exact = all(p["product"]["backend"] != "float" for p in profiles)
     table = _table(
         ("lambda", "product dims", "convolution"),
-        [
-            (p["product"]["lambda"], " ".join(map(str, p["product"]["dims"])), convolution_ok)
-            for p in profiles
-        ],
+        [(scalar_literal(total.lam), _dims_text(total), convolution_ok) for *_, total in triples],
     )
     inputs = {"left": _input_entry(args.left), "right": _input_entry(args.right)}
-    return results, inputs, exact, table
+    return results, inputs, [p.backend for triple in triples for p in triple], table
 
 
 def _load_map(path, k) -> SimplicialMap:
@@ -258,66 +243,43 @@ def _load_map(path, k) -> SimplicialMap:
     return SimplicialMap(k, k, images)
 
 
-def _run_mapping_torus(args, parser):
-    lams = _parse_lambdas(args, parser)
+def _run_mapping_torus(args, lams):
     k, _ = load_complex(args.complex)
     phi = _load_map(args.map, k)
     torus = mapping_torus(k, phi, layers=args.layers)
-    profiles = [
-        betti_profile(
-            torus.complex,
-            torus.fiber_cocycle,
-            lam,
-            backend=args.backend,
-            tolerance=args.tolerance,
-        )
-        for _, lam in lams
-    ]
+    profiles = [_betti(args, torus.complex, torus.fiber_cocycle, lam) for _, lam in lams]
     results = {
         "layers": args.layers,
         "holonomy_period": torus.holonomy_period,
         "counts": list(torus.complex.counts()),
         "profiles": [p.to_json() for p in profiles],
     }
-    exact = all(p.backend != "float" for p in profiles)
-    table = _table(("lambda", "dims", "euler", "backend"), _profile_rows(results["profiles"]))
     inputs = {"complex": _input_entry(args.complex), "map": _input_entry(args.map)}
-    return results, inputs, exact, table
+    return results, inputs, [p.backend for p in profiles], _profile_table(profiles)
 
 
-def _run_cover(args, parser):
-    lams = _parse_lambdas(args, parser)
-    k, theta = load_complex(args.complex)
-    _require_cocycle(theta, args.complex)
+def _run_cover(args, lams):
+    [(k, theta)] = _load_with_cocycles(args.complex)
     cover = cyclic_cover(k, theta, args.sheets)
-    rows = []
-    monotone = True
-    pairs = []
-    exact = True
-    for lit, lam in lams:
-        base = betti_profile(k, theta, lam, backend=args.backend, tolerance=args.tolerance)
-        lifted = betti_profile(
-            cover.complex, cover.theta_lift, lam, backend=args.backend, tolerance=args.tolerance
-        )
-        monotone = monotone and all(b <= c for b, c in zip(base.dims, lifted.dims))
-        exact = exact and base.backend != "float" and lifted.backend != "float"
-        pairs.append({"base": base.to_json(), "cover": lifted.to_json()})
-        rows.append(
-            (
-                base.to_json()["lambda"],
-                " ".join(map(str, base.dims)),
-                " ".join(map(str, lifted.dims)),
-            )
-        )
-    results = {"sheets": args.sheets, "profiles": pairs, "monotone_ok": monotone}
-    table = _table(("lambda", "base dims", "cover dims"), rows)
-    return results, {"complex": _input_entry(args.complex)}, exact, table
+    spaces = ((k, theta), (cover.complex, cover.theta_lift))
+    pairs = [[_betti(args, c, t, lam) for c, t in spaces] for _, lam in lams]
+    results = {
+        "sheets": args.sheets,
+        "profiles": [{"base": base.to_json(), "cover": lifted.to_json()} for base, lifted in pairs],
+        "monotone_ok": all(
+            b <= c for base, lifted in pairs for b, c in zip(base.dims, lifted.dims)
+        ),
+    }
+    table = _table(
+        ("lambda", "base dims", "cover dims"),
+        [(scalar_literal(base.lam), _dims_text(base), _dims_text(lifted)) for base, lifted in pairs],
+    )
+    backends = [p.backend for pair in pairs for p in pair]
+    return results, {"complex": _input_entry(args.complex)}, backends, table
 
 
-def _run_hodge(args, parser):
-    lams = _parse_lambdas(args, parser)
-    k, theta = load_complex(args.complex)
-    _require_cocycle(theta, args.complex)
+def _run_hodge(args, lams):
+    [(k, theta)] = _load_with_cocycles(args.complex)
     weights = None
     inputs = {"complex": _input_entry(args.complex)}
     if args.weights:
@@ -345,10 +307,10 @@ def _run_hodge(args, parser):
             for e in entries
         ],
     )
-    return results, inputs, False, table
+    return results, inputs, ["float"], table
 
 
-def _run_bounds(args, parser):
+def _run_bounds(args, lams):
     if args.n < 2:
         raise NovikovError("--n must be at least 2")
     results = {"n": args.n, "omega": wallis(args.n)}
@@ -368,10 +330,10 @@ def _run_bounds(args, parser):
         for row in table_data.rows:
             rows.append((f"b*C at b={row.b:g}", f"{row.bc:.12g} (gap {row.gap:.3g})"))
     table = _table(("quantity", "value"), rows)
-    return results, {}, False, table
+    return results, {}, ["float"], table
 
 
-def _run_verify(args, parser):
+def _run_verify(args, lams):
     k = theta = None
     inputs = {}
     if args.complex:
@@ -382,7 +344,7 @@ def _run_verify(args, parser):
         ("check", "verdict"),
         [(v.name, "pass" if v.passed else "FAIL") for v in result.verdicts],
     )
-    return result.to_json(), inputs, True, table
+    return result.to_json(), inputs, ["exact"], table
 
 
 _RUNNERS = {
@@ -417,7 +379,8 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        results, inputs, exact, table = _RUNNERS[args.command](args, parser)
+        lams = _parse_lambdas(args, parser) if "lams" in args else None
+        results, inputs, backends, table = _RUNNERS[args.command](args, lams)
     except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return NUMERICAL_EXIT
@@ -434,11 +397,11 @@ def main(argv=None) -> int:
         "results": results,
         "versions": {"novikov": __version__},
     }
-    if not exact:
+    if "float" in backends:
         report["timing_seconds"] = round(time.perf_counter() - started, 6)
 
     payload = report_bytes(report)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "wb") as fh:
             fh.write(payload)
     else:

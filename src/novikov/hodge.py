@@ -156,6 +156,8 @@ def _harmonic_cut(sing: np.ndarray, threshold: float) -> float:
     # eigvalsh perturbs a true zero eigenvalue by roughly n * eps * eig_max,
     # which is sqrt(n * eps) * sigma_max after the square root, so the user
     # threshold is floored at that machine-noise level
+    if not math.isfinite(threshold):
+        raise ValueError(f"harmonic threshold must be finite, got {threshold}")
     floor = math.sqrt(sing.size * np.finfo(float).eps)
     return max(threshold, floor) * sing.max()
 

@@ -586,8 +586,8 @@ def _float_rank(a: np.ndarray, tolerance: float):
     when any singular value sits within a factor of ten of that cut, i.e.
     the answer would move under a modest tolerance change.
     """
-    if not tolerance > 0:
-        raise ValueError("float rank needs tolerance > 0")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("float rank needs a finite tolerance > 0")
     if a.size == 0:
         return 0, False
     s = np.linalg.svd(a, compute_uv=False)

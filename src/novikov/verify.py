@@ -253,6 +253,8 @@ def run_suite(
     trials: int = 20,
 ) -> SuiteResult:
     """Run a named suite; theorem21 needs a complex with its cocycle."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "theorem21":
         if k is None or theta is None:
             raise NovikovError("suite theorem21 needs a complex with a cocycle")

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from novikov import cli, hodge
 from novikov.bounds import small_b_limit
 
@@ -168,9 +170,11 @@ def test_bounds_roots_with_a_huge_integral():
 
 
 def test_bounds_root_near_the_largest_double():
-    proc = run_cli("bounds", "--n", "2", "--b", "1e-300")
-    root = report_of(proc)["results"]["c_of_b"]["root"]
-    assert abs(root - small_b_limit(2) / 1e-300) <= 1e-15 * root
+    # C(2e-308) is about 6.18e307, C(7e-309) about 1.77e308: finite doubles
+    for b, rel in (("1e-300", 1e-15), ("2e-308", 2e-15), ("1e-308", 2e-15), ("7e-309", 2e-15)):
+        proc = run_cli("bounds", "--n", "2", "--b", b)
+        root = report_of(proc)["results"]["c_of_b"]["root"]
+        assert abs(root - small_b_limit(2) / float(b)) <= rel * root, b
 
 
 def test_verify_command():
@@ -224,6 +228,7 @@ def test_validation_errors_exit_2(tmp_path):
         "--layers", "2", "--lambda", "1",
     ).returncode == 2
     circle3 = str(FIXTURES / "circle3.json")
+    torus2 = str(FIXTURES / "torus2.json")
     nf_action = tmp_path / "nf_action.json"
     nf_action.write_text(
         json.dumps(
@@ -248,6 +253,11 @@ def test_validation_errors_exit_2(tmp_path):
         ("wang", "--action", str(nf_action), "--lambda", "1+2j"),
         ("wang", "--action", str(float_action), "--lambda", "nf:x^2-3*x+1:x"),
         ("wang", "--action", str(float_action), "--lambda", "2", "--backend", "exact"),
+        ("hodge", "--complex", torus2, "--lambda", "1.0", "--threshold", "nan"),
+        ("hodge", "--complex", torus2, "--lambda", "1.0", "--threshold", "inf"),
+        ("betti", "--complex", torus2, "--lambda", "1.0", "--tolerance", "inf"),
+        ("verify", "--suite", "theorem21", "--complex", torus2, "--trials", "0"),
+        ("verify", "--suite", "theorem21", "--complex", torus2, "--trials", "-1"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
@@ -292,6 +302,8 @@ def test_numerical_errors_exit_3(tmp_path):
         ("bounds", "--n", "3", "--x", "1e200"),
         ("bounds", "--n", "3", "--x", "1e300"),
         ("bounds", "--n", "2", "--b", "1e-310"),
+        ("bounds", "--n", "2", "--b", "6.8e-309"),
+        ("bounds", "--n", "2", "--b", "5e-324"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv
@@ -343,3 +355,35 @@ def test_tolerance_env_override():
     profile = report_of(proc)["results"]["profiles"][0]
     assert profile["tolerance"] == 1e-6
     assert profile["dims"] == [1, 2, 1]
+
+
+def test_timing_seconds_iff_a_computation_ran_in_float(capsys):
+    torus2, circle3 = str(FIXTURES / "torus2.json"), str(FIXTURES / "circle3.json")
+    profile_jobs = (
+        ["betti", "--complex", torus2],
+        ["wang", "--action", str(FIXTURES / "exm13.json")],
+        ["product", "--left", circle3, "--right", circle3],
+        ["mapping-torus", "--complex", torus2, "--map", str(FIXTURES / "torus2_flip_map.json")],
+        ["cover", "--complex", circle3, "--sheets", "2"],
+    )
+    untimed = [job + ["--lambda", "2"] for job in profile_jobs]
+    untimed.append(["verify", "--suite", "theorem21", "--complex", circle3, "--trials", "1"])
+    timed = [job + ["--lambda", "2.0"] for job in profile_jobs]
+    timed.append(["hodge", "--complex", circle3, "--lambda", "2"])
+    timed.append(["bounds", "--n", "3", "--b", "1"])
+    for argv, expected in [(a, False) for a in untimed] + [(a, True) for a in timed]:
+        assert cli.main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        assert ("timing_seconds" in report) is expected, argv
+
+
+def test_every_subcommand_has_help(capsys):
+    takes_lambda = {"betti", "wang", "product", "mapping-torus", "cover", "hodge"}
+    for command in takes_lambda | {"bounds", "verify"}:
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--help"])
+        assert stop.value.code == 0, command
+        text = capsys.readouterr().out
+        assert ("--lambda" in text) is (command in takes_lambda), command
+        assert ("--backend" in text) is (command in takes_lambda - {"hodge"}), command
+        assert "--output" in text, command

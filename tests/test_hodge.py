@@ -125,6 +125,13 @@ def test_harmonic_dim_torus_frozen_values():
         assert harmonic_dim(k, theta, 2.0, p) == 0
 
 
+def test_non_finite_harmonic_threshold_raises():
+    k, theta = torus_fixture()
+    for threshold in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            harmonic_dim(k, theta, 1.0, 1, threshold=threshold)
+
+
 def test_near_trivial_monodromy_is_not_harmonic():
     # lambda close to 1 must not report phantom harmonic forms; the
     # Laplacian eigenvalue sits near (lambda-1)^2, so an eigenvalue-scale
