@@ -29,7 +29,6 @@ from .cocycles import (
 )
 from .complexes import (
     SimplicialComplex,
-    boundary_matrix,
     circle,
     euler_characteristic,
     path_complex,
@@ -76,7 +75,6 @@ from .scalars import (
     MinimalPolynomial,
     NumberFieldElement,
     parse_scalar,
-    rank,
     scalar_literal,
 )
 from .serialization import (
@@ -133,7 +131,6 @@ __all__ = [
     "b_n_detail",
     "bc_limit_check",
     "betti_profile",
-    "boundary_matrix",
     "c_of_b",
     "circle",
     "coboundary_of",
@@ -160,7 +157,6 @@ __all__ = [
     "path_complex",
     "point",
     "product",
-    "rank",
     "run_suite",
     "save_action",
     "save_complex",

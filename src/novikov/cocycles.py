@@ -116,9 +116,8 @@ class ZeroCochain:
         return f"ZeroCochain({len(self.values)} vertices, mode={self.mode})"
 
 
-def zero_cocycle(k: SimplicialComplex, mode="exact") -> OneCocycle:
-    fill = 0 if mode == "exact" else 0.0
-    return OneCocycle({e: fill for e in k.edges}, mode=mode)
+def zero_cocycle(k: SimplicialComplex) -> OneCocycle:
+    return OneCocycle({e: 0 for e in k.edges})
 
 
 def _require_cover(k: SimplicialComplex, theta: OneCocycle):

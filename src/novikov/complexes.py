@@ -4,26 +4,26 @@ Complexes are built from a list of maximal simplices and closed under
 faces; every vertex below vertex_count is a 0-simplex even when isolated.
 Simplex lists are lexicographically sorted per dimension, which fixes the
 row/column order of every matrix derived from the complex.  Instances are
-immutable; boundary matrices are cached on first use.
+immutable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-
-from .scalars import Matrix
 
 __all__ = [
     "SimplicialComplex",
-    "boundary_matrix",
     "euler_characteristic",
     "circle",
     "sphere_boundary",
     "point",
     "path_complex",
-    "generator",
 ]
+
+
+def _natural(v) -> bool:
+    """An int >= 0; bools are refused, since JSON true would read as 1."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _validated_simplex(simplex, vertex_count):
@@ -33,7 +33,7 @@ def _validated_simplex(simplex, vertex_count):
     if len(set(s)) != len(s):
         raise ValueError(f"malformed simplex with repeated vertex: {s}")
     for v in s:
-        if not isinstance(v, int) or v < 0:
+        if not _natural(v):
             raise ValueError(f"malformed simplex, vertices must be ints >= 0: {s}")
         if vertex_count is not None and v >= vertex_count:
             raise ValueError(
@@ -45,7 +45,7 @@ def _validated_simplex(simplex, vertex_count):
 class SimplicialComplex:
     """Immutable simplicial complex with sorted simplex tables."""
 
-    __slots__ = ("vertex_count", "simplices", "_index", "_boundary_cache")
+    __slots__ = ("vertex_count", "simplices", "_index")
 
     def __init__(self, vertex_count: int, simplices_by_dim):
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -55,7 +55,6 @@ class SimplicialComplex:
         object.__setattr__(self, "_index", tuple(
             {s: i for i, s in enumerate(level)} for level in self.simplices
         ))
-        object.__setattr__(self, "_boundary_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("SimplicialComplex is immutable")
@@ -65,8 +64,11 @@ class SimplicialComplex:
         """Face closure of a family of simplices.
 
         vertex_count defaults to 1 + the largest vertex mentioned; passing
-        it explicitly keeps isolated trailing vertices.
+        it explicitly keeps isolated trailing vertices, and it must be an
+        int >= 0.
         """
+        if vertex_count is not None and not _natural(vertex_count):
+            raise ValueError(f"vertex_count must be an int >= 0, got {vertex_count!r}")
         cleaned = [_validated_simplex(s, vertex_count) for s in maximal]
         if vertex_count is None:
             vertex_count = 1 + max((max(s) for s in cleaned), default=-1)
@@ -129,31 +131,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * c for p, c in enumerate(self.counts()))
 
-    def boundary_matrix(self, p: int) -> Matrix:
-        """Boundary operator C_p -> C_{p-1} with alternating-sign entries.
-
-        Rows are (p-1)-simplices, columns are p-simplices; entry is the
-        incidence sign (-1)^i of dropping vertex i.  p=0 gives a 0 x n
-        matrix (reduced-boundary conventions are not used here).
-        """
-        if p < 0 or p > self.dim:
-            raise ValueError(f"degree {p} out of range for dim {self.dim}")
-        cached = self._boundary_cache.get(p)
-        if cached is not None:
-            return cached
-        rows = self.n_simplices(p - 1) if p > 0 else 0
-        cols = self.n_simplices(p)
-        ent = [Fraction(0)] * (rows * cols)
-        if p > 0:
-            for j, s in enumerate(self.simplices[p]):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    r = self._index[p - 1][face]
-                    ent[r * cols + j] = Fraction((-1) ** i)
-        m = Matrix(rows, cols, ent)
-        self._boundary_cache[p] = m
-        return m
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
@@ -166,10 +143,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(vertices={self.vertex_count}, counts={self.counts()})"
-
-
-def boundary_matrix(k: SimplicialComplex, p: int) -> Matrix:
-    return k.boundary_matrix(p)
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
@@ -204,14 +177,3 @@ def path_complex(n_edges: int) -> SimplicialComplex:
         [(i, i + 1) for i in range(n_edges)], vertex_count=n_edges + 1
     )
 
-
-def generator(name: str) -> SimplicialComplex:
-    """Named generators: "circle:m" and "sphere_boundary:d"."""
-    kind, _, arg = name.partition(":")
-    if kind == "circle":
-        return circle(int(arg))
-    if kind == "sphere_boundary":
-        return sphere_boundary(int(arg))
-    if kind == "point":
-        return point()
-    raise ValueError(f"unknown generator {name!r}")

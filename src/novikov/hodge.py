@@ -60,6 +60,9 @@ class InnerProduct:
     __slots__ = ("complex", "_vectors")
 
     def __init__(self, k: SimplicialComplex, weights=None):
+        for p in weights or ():
+            if p not in range(k.dim + 1):
+                raise ValueError(f"weight degree {p!r} is outside 0..{k.dim}")
         vectors = []
         for p in range(k.dim + 1):
             n = k.n_simplices(p)
@@ -73,8 +76,8 @@ class InnerProduct:
                         f"degree {p} weight vector has length {vec.size}, "
                         f"need {n}"
                     )
-                if not np.all(vec > 0):
-                    raise ValueError(f"degree {p} weights must be positive")
+                if not np.all(np.isfinite(vec) & (vec > 0)):
+                    raise ValueError(f"degree {p} weights must be positive and finite")
             vectors.append(vec)
         object.__setattr__(self, "complex", k)
         object.__setattr__(self, "_vectors", tuple(vectors))

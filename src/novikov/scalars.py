@@ -31,8 +31,7 @@ __all__ = [
     "NumberFieldElement",
     "nf_inverse",
     "Matrix",
-    "rank",
-    "kernel_dim",
+    "rank_with_flag",
     "parse_scalar",
     "scalar_literal",
     "DEFAULT_FLOAT_TOLERANCE",
@@ -463,10 +462,6 @@ class Matrix:
         flat = [v for r in rows for v in r]
         return cls(nrows, ncols, flat)
 
-    @classmethod
-    def zeros(cls, nrows, ncols) -> "Matrix":
-        return cls(nrows, ncols, [Fraction(0)] * (nrows * ncols))
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -479,33 +474,6 @@ class Matrix:
 
     def rows(self):
         return [list(self.row(i)) for i in range(self.nrows)]
-
-    def transpose(self) -> "Matrix":
-        ent = [self.entry(i, j) for j in range(self.ncols) for i in range(self.nrows)]
-        return Matrix(self.ncols, self.nrows, ent)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        # sparse-aware triple loop; fine at the sizes this package meets
-        out = [0] * (self.nrows * other.ncols)
-        for i in range(self.nrows):
-            base = i * self.ncols
-            for k in range(self.ncols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.ncols
-                robase = i * other.ncols
-                for j in range(other.ncols):
-                    b = other.entries[obase + j]
-                    if b == 0:
-                        continue
-                    out[robase + j] = out[robase + j] + a * b
-        return Matrix(self.nrows, other.ncols, out)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
 
     def to_numpy(self) -> np.ndarray:
         if self.backend == _NF:
@@ -599,27 +567,18 @@ def _float_rank(a: np.ndarray, tolerance: float):
     return rnk, ill
 
 
-def rank(m: Matrix, tolerance: float | None = None) -> int:
-    """Rank of a matrix in its own backend; tolerance applies to float."""
-    r, _ = rank_with_flag(m, tolerance=tolerance)
-    return r
-
-
 def rank_with_flag(m: Matrix, tolerance: float | None = None):
-    """Like rank(), returning (rank, ill_conditioned).
+    """(rank, ill_conditioned) of a matrix in its own backend.
 
-    The flag is always False on the exact backends.
+    The one dense-rank entry; in the package it ranks Wang's square
+    blocks.  The tolerance applies to float; the flag is always False on
+    the exact backends.
     """
     # a bare matrix meets no lambda; 1 is exact and leaves the join to m
     _, backend, tol = _arithmetic(1, m.backend, tolerance=tolerance)
     if backend == _FLOAT:
         return _float_rank(m.to_numpy(), tol)
     return _exact_rank_columns(_matrix_columns_sparse(m)), False
-
-
-def kernel_dim(m: Matrix, tolerance: float | None = None) -> int:
-    """dim ker = ncols - rank."""
-    return m.ncols - rank(m, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

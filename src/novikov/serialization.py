@@ -99,10 +99,16 @@ def complex_from_json(payload: dict):
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown cocycle mode {mode!r}")
+    edges = set(k.edges)
     values = {}
     for entry in raw["values"]:
         u, v, val = entry
-        values[(int(u), int(v))] = _decode_value(val, mode)
+        edge = (int(u), int(v))
+        if edge not in edges:
+            raise ValueError(f"cocycle value on {edge}, which is not an increasing edge")
+        if edge in values:
+            raise ValueError(f"cocycle lists edge {edge} twice")
+        values[edge] = _decode_value(val, mode)
     missing = [e for e in k.edges if e not in values]
     if missing:
         raise ValueError(f"cocycle misses {len(missing)} edges, first {missing[0]}")
@@ -131,10 +137,17 @@ def action_to_json(action: FiberCohomologyAction) -> dict:
     return {"format": "novikov/action", "schema": SCHEMA, "blocks": blocks}
 
 
+def _keyed_by_degree(payload: dict, field: str) -> dict:
+    value = payload[field]
+    if not isinstance(value, dict):
+        raise ValueError(f"{field!r} must be a JSON object keyed by degree")
+    return value
+
+
 def action_from_json(payload: dict) -> FiberCohomologyAction:
     _expect_format(payload, "novikov/action")
     blocks = {}
-    for key, rows in payload["blocks"].items():
+    for key, rows in _keyed_by_degree(payload, "blocks").items():
         blocks[int(key)] = [[parse_scalar(str(e)) for e in row] for row in rows]
     return FiberCohomologyAction.from_blocks(blocks)
 
@@ -153,7 +166,7 @@ def load_action(path) -> FiberCohomologyAction:
 def weights_from_json(payload: dict) -> dict:
     _expect_format(payload, "novikov/weights")
     out = {}
-    for key, vec in payload["weights"].items():
+    for key, vec in _keyed_by_degree(payload, "weights").items():
         out[int(key)] = [float(w) for w in vec]
     return out
 

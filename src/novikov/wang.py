@@ -35,7 +35,7 @@ from .scalars import (
     _float_of,
     _join,
     _reduce_columns,
-    kernel_dim,
+    rank_with_flag,
     scalar_literal,
 )
 from .twisted import LocalSystemWeights, _coboundary_rows
@@ -70,7 +70,10 @@ class FiberCohomologyAction:
 
     @classmethod
     def from_blocks(cls, blocks: dict) -> "FiberCohomologyAction":
-        """Sparse form: {degree: rows}; absent degrees get 0 x 0 blocks."""
+        """Sparse form: {degree >= 0: rows}; absent degrees get 0 x 0 blocks."""
+        for p in blocks:
+            if p < 0:
+                raise ValueError(f"action block degree {p} is negative")
         top = max(blocks, default=-1)
         mats = [blocks.get(p) or [] for p in range(top + 1)]
         return cls(mats)
@@ -150,7 +153,7 @@ def wang_dims(
             nulls.append(0)
             continue
         shifted = _shifted_block(block, lam, backend)
-        nulls.append(kernel_dim(shifted, tolerance=tol))
+        nulls.append(block.nrows - rank_with_flag(shifted, tolerance=tol)[0])
     dims = []
     for p in range(action.top_degree + 2):
         here = nulls[p] if p <= action.top_degree else 0

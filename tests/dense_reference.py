@@ -1,0 +1,42 @@
+"""Dense exact references that the tests compare the package against.
+
+The package keeps a dense ``Matrix`` only for the square blocks of a fiber
+action.  Products and transposes in the tests run on numpy ``dtype=object``
+arrays of the matrix entries, so Fraction and number-field arithmetic stays
+exact.  ``boundary`` is the simplicial boundary operator built straight from
+the sorted simplex tables, independent of the sparse coboundary assembly in
+``novikov.twisted``.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from novikov.scalars import Matrix
+
+
+def dense(m: Matrix) -> np.ndarray:
+    """The entries of m as an object array of its shape."""
+    return np.array(m.rows(), dtype=object).reshape(m.shape)
+
+
+def from_dense(a: np.ndarray) -> Matrix:
+    return Matrix(a.shape[0], a.shape[1], a.ravel().tolist())
+
+
+def boundary(k, p: int) -> np.ndarray:
+    """Boundary operator C_p -> C_{p-1} with alternating-sign entries.
+
+    Rows are (p-1)-simplices, columns are p-simplices; entry is the
+    incidence sign (-1)^i of dropping vertex i.  p=0 gives a 0 x n array
+    (reduced-boundary conventions are not used here).
+    """
+    if p < 0 or p > k.dim:
+        raise ValueError(f"degree {p} out of range for dim {k.dim}")
+    rows = k.n_simplices(p - 1) if p > 0 else 0
+    out = np.full((rows, k.n_simplices(p)), Fraction(0), dtype=object)
+    if p > 0:
+        for j, s in enumerate(k.simplices[p]):
+            for i in range(len(s)):
+                out[k.simplex_index(s[:i] + s[i + 1 :]), j] = Fraction((-1) ** i)
+    return out

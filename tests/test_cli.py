@@ -243,6 +243,41 @@ def test_validation_errors_exit_2(tmp_path):
     float_action.write_text(
         json.dumps({"format": "novikov/action", "schema": "v1", "blocks": {"0": [["0.5"]]}})
     )
+    # malformed complex, action and weights files
+    circle3_payload = json.loads((FIXTURES / "circle3.json").read_text())
+    values = circle3_payload["cocycle"]["values"]
+    complexes = (
+        dict(circle3_payload, vertex_count="3"),
+        dict(circle3_payload, vertex_count=2.5),
+        dict(circle3_payload, cocycle={"mode": "exact", "values": [[0, 1, 5], *values]}),
+        dict(circle3_payload, cocycle={"mode": "exact", "values": [*values, [0, 5, 7]]}),
+        dict(circle3_payload, maximal_simplices=[[0, True], [0, 2], [1, 2]]),
+    )
+    blocks = ([[["1"]]], {"-1": [["2"]], "0": [["1"]]})
+    weights = ([[1, 1, 1]], {"7": [1.0]}, {"0": [1.0, float("inf"), 1.0]})
+
+    def written(name, payload):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    action = {"format": "novikov/action", "schema": "v1"}
+    weight_file = {"format": "novikov/weights", "schema": "v1"}
+    malformed = [
+        *(
+            ("betti", "--complex", written(f"complex{i}", c), "--lambda", "2")
+            for i, c in enumerate(complexes)
+        ),
+        *(
+            ("wang", "--action", written(f"action{i}", dict(action, blocks=b)), "--lambda", "2")
+            for i, b in enumerate(blocks)
+        ),
+        *(
+            ("hodge", "--complex", circle3, "--lambda", "2.0",
+             "--weights", written(f"weights{i}", dict(weight_file, weights=w)))
+            for i, w in enumerate(weights)
+        ),
+    ]
     for argv in (
         ("betti", "--complex", circle3, "--lambda", "inf"),
         ("hodge", "--complex", circle3, "--lambda", "inf"),
@@ -258,10 +293,12 @@ def test_validation_errors_exit_2(tmp_path):
         ("betti", "--complex", torus2, "--lambda", "1.0", "--tolerance", "inf"),
         ("verify", "--suite", "theorem21", "--complex", torus2, "--trials", "0"),
         ("verify", "--suite", "theorem21", "--complex", torus2, "--trials", "-1"),
+        *malformed,
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
         assert b"Traceback" not in proc.stderr
+        assert b"Warning" not in proc.stderr, argv
 
 
 def test_numerical_errors_exit_3(tmp_path):

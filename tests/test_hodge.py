@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,11 @@ def test_inner_product_validation():
         InnerProduct(k, {0: [1.0, 1.0]})
     with pytest.raises(ValueError):
         InnerProduct(k, {1: [1.0, -1.0, 1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weights in ({7: [1.0]}, {-1: [1.0]}, {0: [1.0, float("inf"), 1.0]}):
+            with pytest.raises(ValueError):
+                InnerProduct(k, weights)
     w = InnerProduct(k, {0: [2.0, 2.0, 2.0]})
     assert w.pairing(0, [1, 1, 1], [1, 1, 1]) == 6.0
 

@@ -81,6 +81,21 @@ def test_complex_validation_errors():
         complex_from_json(wrong_mode)
 
 
+def test_malformed_cocycle_or_simplex_raises():
+    c = circle(3)
+    good = complex_to_json(c, OneCocycle({(0, 1): 1, (0, 2): 0, (1, 2): 0}))
+    assert rebuilt(good)[0] == c
+    duplicated = json.loads(json.dumps(good))
+    duplicated["cocycle"]["values"].insert(1, [0, 1, 5])  # a second value on (0, 1)
+    non_edge = json.loads(json.dumps(good))
+    non_edge["cocycle"]["values"].append([0, 5, 7])
+    boolean_vertex = json.loads(json.dumps(good))
+    boolean_vertex["maximal_simplices"][0] = [0, True]  # JSON true equals 1
+    for payload in (duplicated, non_edge, boolean_vertex):
+        with pytest.raises(ValueError):
+            complex_from_json(payload)
+
+
 def test_action_round_trip_with_fractions():
     action = FiberCohomologyAction.from_blocks(
         {0: [[1]], 1: [[Fraction(5, 7), 1], [0, 2]]}
@@ -89,6 +104,14 @@ def test_action_round_trip_with_fractions():
     assert back.top_degree == 1
     assert back.block(1).entry(0, 0) == Fraction(5, 7)
     assert back.block(0).entry(0, 0) == 1
+
+
+def test_action_validation_errors():
+    good = {"format": "novikov/action", "schema": "v1", "blocks": {"0": [["1"]]}}
+    assert action_from_json(good).fiber_dims() == (1,)
+    for blocks in ([[["1"]]], {"-1": [["2"]], "0": [["1"]]}):
+        with pytest.raises(ValueError):
+            action_from_json(dict(good, blocks=blocks))
 
 
 def test_weights_payload():
@@ -101,6 +124,8 @@ def test_weights_payload():
     assert out == {0: [1.0, 2.0, 3.0], 1: [0.5, 0.5, 0.5]}
     with pytest.raises(ValueError):
         weights_from_json({"format": "novikov/weights", "schema": "v2", "weights": {}})
+    with pytest.raises(ValueError):
+        weights_from_json(dict(payload, weights=[[1, 2, 3]]))
 
 
 def test_save_load_and_digest(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import boundary, dense
 from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform
 from novikov.complexes import SimplicialComplex, circle, sphere_boundary
 from novikov.constructions import cyclic_cover, torus_grid
@@ -96,7 +97,7 @@ def test_lambda_one_is_transposed_boundary():
     for p in range(k.dim + 1):
         delta = twisted_coboundary(k, theta, Fraction(1), p)
         if p + 1 <= k.dim:
-            assert delta == k.boundary_matrix(p + 1).transpose()
+            assert np.array_equal(dense(delta), boundary(k, p + 1).T)
         else:
             assert delta.nrows == 0
 
@@ -106,10 +107,10 @@ def test_coboundary_squares_to_zero():
     for lam in (Fraction(5, 7), Fraction(-2), 3):
         d0 = twisted_coboundary(k, theta, lam, 0)
         d1 = twisted_coboundary(k, theta, lam, 1)
-        assert (d1 @ d0).is_zero()
+        assert all(v == 0 for v in (dense(d1) @ dense(d0)).flat)
     d0 = twisted_coboundary(k, theta, 0.37 + 0.2j, 0)
     d1 = twisted_coboundary(k, theta, 0.37 + 0.2j, 1)
-    prod = (d1 @ d0).to_numpy()
+    prod = d1.to_numpy() @ d0.to_numpy()
     assert abs(prod).max() < 1e-12
 
 
