@@ -547,12 +547,14 @@ def _matrix_columns_sparse(m: Matrix):
         yield {j: v for j, v in enumerate(m.row(i)) if v != 0}
 
 
-def _float_rank(a: np.ndarray, tolerance: float):
+def _float_rank(a: np.ndarray, tolerance: float, floor: float = 0.0):
     """(rank, ill_conditioned) from singular values.
 
-    Rank counts singular values above tolerance * sigma_max; the flag trips
-    when any singular value sits within a factor of ten of that cut, i.e.
-    the answer would move under a modest tolerance change.
+    Rank counts singular values above tolerance * max(sigma_max, floor); the
+    flag trips when any singular value sits within a factor of ten of that
+    cut, i.e. the answer would move under a modest tolerance change.  The
+    floor gives the cut an absolute scale for matrices whose entries are
+    rounding noise around zero.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError("float rank needs a finite tolerance > 0")
@@ -561,7 +563,7 @@ def _float_rank(a: np.ndarray, tolerance: float):
     s = np.linalg.svd(a, compute_uv=False)
     if len(s) == 0 or s[0] == 0.0:
         return 0, False
-    cut = tolerance * float(s[0])
+    cut = tolerance * max(float(s[0]), floor)
     rnk = int(np.count_nonzero(s > cut))
     ill = bool(np.any((s > cut / 10.0) & (s < cut * 10.0)))
     return rnk, ill

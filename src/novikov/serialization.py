@@ -51,12 +51,30 @@ def _encode_value(value, mode: str):
     return int(value)
 
 
+def _number(raw, what: str) -> float:
+    """A JSON number as a float; booleans and every other JSON value are refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _integer(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def _decode_value(raw, mode: str):
     if mode == "float":
-        return float(raw)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"exact cocycle values must be integers, got {raw!r}")
-    return raw
+        return _number(raw, "a float cocycle value")
+    return _integer(raw, "an exact cocycle value")
+
+
+def _lists(value, what: str) -> list:
+    """value, which must be a JSON list of JSON lists."""
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ValueError(f"{what} must be a list of lists")
+    return value
 
 
 def _expect_format(payload: dict, kind: str) -> None:
@@ -91,19 +109,22 @@ def complex_from_json(payload: dict):
     """Rebuild (complex, cocycle or None) from its JSON form."""
     _expect_format(payload, "novikov/complex")
     k = SimplicialComplex.build(
-        payload["maximal_simplices"], vertex_count=payload.get("vertex_count")
+        _lists(payload["maximal_simplices"], "'maximal_simplices'"),
+        vertex_count=payload.get("vertex_count"),
     )
     raw = payload.get("cocycle")
     if raw is None:
         return k, None
+    if not isinstance(raw, dict):
+        raise ValueError("'cocycle' must be a JSON object")
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown cocycle mode {mode!r}")
     edges = set(k.edges)
     values = {}
-    for entry in raw["values"]:
+    for entry in _lists(raw["values"], "cocycle 'values'"):
         u, v, val = entry
-        edge = (int(u), int(v))
+        edge = (_integer(u, "an edge endpoint"), _integer(v, "an edge endpoint"))
         if edge not in edges:
             raise ValueError(f"cocycle value on {edge}, which is not an increasing edge")
         if edge in values:
@@ -148,7 +169,9 @@ def action_from_json(payload: dict) -> FiberCohomologyAction:
     _expect_format(payload, "novikov/action")
     blocks = {}
     for key, rows in _keyed_by_degree(payload, "blocks").items():
-        blocks[int(key)] = [[parse_scalar(str(e)) for e in row] for row in rows]
+        blocks[int(key)] = [
+            [parse_scalar(str(e)) for e in row] for row in _lists(rows, f"block {key!r}")
+        ]
     return FiberCohomologyAction.from_blocks(blocks)
 
 
@@ -167,7 +190,9 @@ def weights_from_json(payload: dict) -> dict:
     _expect_format(payload, "novikov/weights")
     out = {}
     for key, vec in _keyed_by_degree(payload, "weights").items():
-        out[int(key)] = [float(w) for w in vec]
+        if not isinstance(vec, list):
+            raise ValueError(f"weights {key!r} must be a list of numbers")
+        out[int(key)] = [_number(w, "a weight") for w in vec]
     return out
 
 

@@ -11,13 +11,21 @@ vertex along its first edge:
 Closedness of theta gives w(v0,v1) w(v1,v2) = w(v0,v2) on every triangle,
 which is exactly what makes delta delta = 0.  At lambda = 1 this is the
 ordinary simplicial coboundary (the transpose of the boundary matrix).
-The dimension of degree-p cohomology is then
 
-    dims[p] = #C^p - rank delta_p - rank delta_{p-1},
+Betti numbers do not need the full complex.  With t standing for lambda,
+every nonzero coboundary entry is t**theta(e) or +-1, a unit of the ring
+Z[t, 1/t] of Laurent polynomials.  ``reduce`` eliminates pairs of cells on
+unit entries once, before any lambda is chosen (Kaczynski-Mrozek-Slusarek,
+1998; Skoldberg, 2006); what is left is a residual complex, often of about
+the size of its cohomology, with the same cohomology at every lambda != 0.
+``betti_profile`` evaluates the residual at lambda and computes
 
-computed exactly for rational / number field lambda and through singular
-values for float lambda.  All functions are pure and safe to call from
-concurrent readers; results depend only on their arguments.
+    dims[p] = #residual C^p - rank delta_p - rank delta_{p-1},
+
+exactly for rational / number field lambda and through singular values for
+float lambda.  Hodge and Wang read the full assembly, ``_coboundary_rows``.
+All functions are pure and safe to call from concurrent readers; results
+depend only on their arguments.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from .scalars import (
 __all__ = [
     "LocalSystemWeights",
     "twisted_coboundary",
+    "Reduction",
+    "reduce",
     "BettiProfile",
     "betti_profile",
     "duality_check",
@@ -101,7 +111,8 @@ class LocalSystemWeights:
 def _coboundary_rows(k: SimplicialComplex, weights: LocalSystemWeights, p: int):
     """delta_p as sparse rows, one {column: entry} dict per (p+1)-simplex.
 
-    This is the only code that computes coboundary entries.  Face 0 carries
+    This is the only code that computes coboundary entries at a lambda;
+    ``_laurent_rows`` writes the same rows over Z[t, 1/t].  Face 0 carries
     the transport weight of the leading edge and face i the sign (-1)^i, so
     a row has p+2 entries.  Exact entries are Fraction or NumberFieldElement,
     never a plain int, which would turn exact elimination into float
@@ -149,6 +160,176 @@ def twisted_coboundary(
     return Matrix(len(rows), cols, ent)
 
 
+# Laurent polynomials in t = lambda are {exponent: integer coefficient} dicts.
+# The sign entries are shared; elimination builds new dicts, never edits one.
+_SIGNS = ({0: 1}, {0: -1})
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """The twisted complex over Z[t, 1/t] after pair elimination on units.
+
+    ``sizes[p]`` counts the residual p-cells.  ``deltas[p]`` is the residual
+    delta_p as sparse rows, one {column: Laurent polynomial} dict per
+    residual (p+1)-cell, with columns numbered among the residual p-cells.
+    """
+
+    sizes: tuple[int, ...]
+    deltas: tuple[tuple[dict, ...], ...]
+
+
+def _laurent_rows(k: SimplicialComplex, theta: OneCocycle, p: int, dropped):
+    """delta_p over Z[t, 1/t] without the columns in ``dropped``.
+
+    Face 0 is t**theta(v0, v1) and face i is (-1)**i, as in
+    ``_coboundary_rows``.  The leading edge (v0, v1) is increasing, so its
+    value is the stored one.
+    """
+    index = k._index[p]
+    values = theta.values
+    rows = []
+    for tau in k.simplices[p + 1] if p < k.dim else ():
+        row = {}
+        c = index[tau[1:]]
+        if c not in dropped:
+            row[c] = {values[tau[:2]]: 1}
+        for i in range(1, len(tau)):
+            c = index[tau[:i] + tau[i + 1 :]]
+            if c not in dropped:
+                row[c] = _SIGNS[i % 2]
+        rows.append(row)
+    return rows
+
+
+def _eliminate(rows, ncols):
+    """Pair elimination in place on the Laurent rows of one delta_p.
+
+    Each row in turn pivots on a +-t**e entry whose column is shortest;
+    every other row of that column takes the Schur complement
+    row -= (entry / pivot) * pivot row.  Pivot rows become None and pivot
+    columns leave every row.  Returns the pivots as (row, column, unit).
+    """
+    holders = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    pivots = []
+    for b, row in enumerate(rows):
+        a = None
+        for c, ent in row.items():
+            if len(ent) == 1 and (a is None or len(holders[c]) < len(holders[a])):
+                ((_, y),) = ent.items()
+                if y == 1 or y == -1:
+                    a = c
+        if a is None:
+            continue
+        unit = row[a]
+        ((e, s),) = unit.items()
+        pivots.append((b, a, unit))
+        rows[b] = None
+        for c in row:
+            holders[c].discard(b)
+        rest = [(c, ent, holders[c]) for c, ent in row.items() if c != a]
+        for j in holders[a]:
+            target = rows[j]
+            # -(entry / unit); s is +-1, its own inverse
+            factor = [(x - e, -y * s) for x, y in target.pop(a).items()]
+            for c, ent, held in rest:
+                old = target.get(c)
+                new = dict(old) if old else {}
+                for x, y in factor:
+                    for x2, y2 in ent.items():
+                        z = x + x2
+                        v = new.get(z, 0) + y * y2
+                        if v:
+                            new[z] = v
+                        else:
+                            del new[z]
+                if new:
+                    target[c] = new
+                    held.add(j)
+                elif old:
+                    del target[c]
+                    held.discard(j)
+    return pivots
+
+
+def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
+    """Shrink the twisted complex of (k, theta) over Z[t, 1/t], for every lambda.
+
+    Degree by degree, pairs (a in C^p, b in C^{p+1}) are eliminated on a
+    unit entry of delta_p: the Schur complement replaces delta_p, row a of
+    delta_{p-1} is deleted and column b of delta_{p+1} is dropped when
+    degree p + 1 is assembled.  The deletions rely on delta delta = 0, so
+    theta must be closed; ``betti_profile`` checks that first.  Entries keep
+    integer coefficients, and a real theta gives real exponents.
+    """
+    sizes, deltas = [], []
+    dropped = set()  # p-cells paired with a (p-1)-cell
+    below = []  # rows of delta_{p-1}, keyed by p-cell, awaiting row deletion
+    below_number = {}
+    for p in range(k.dim + 1):
+        rows = _laurent_rows(k, theta, p, dropped)
+        paired = _eliminate(rows, k.n_simplices(p))
+        gone = dropped | {a for _, a, _ in paired}
+        keep = [c for c in range(k.n_simplices(p)) if c not in gone]
+        if p:
+            deltas.append(tuple(
+                {below_number[c]: ent for c, ent in below[r].items()} for r in keep
+            ))
+        sizes.append(len(keep))
+        dropped = {b for b, _, _ in paired}
+        below = rows
+        below_number = {c: i for i, c in enumerate(keep)}
+    deltas.append(())
+    return Reduction(tuple(sizes), tuple(deltas))
+
+
+def _exact_rows(rows, lam):
+    """Residual rows at an exact lambda: each t**e becomes Fraction(c) * lam**e."""
+    return [
+        {c: sum(Fraction(y) * lam**x for x, y in ent.items()) for c, ent in row.items()}
+        for row in rows
+    ]
+
+
+def _power(lam: complex, x):
+    """lam**x = exp(x log lam) on the principal branch, where |lam**x| <= 1.
+
+    An integer power multiplies out lam or 1/lam, whichever is at most 1 in
+    magnitude, so it neither overflows nor leaves the real axis.
+    """
+    if x != int(x):
+        return lam ** complex(x)
+    return (1 / lam) ** -int(x) if x < 0 else lam ** int(x)
+
+
+def _float_array(rows, ncols, lam):
+    """Residual rows at a float lambda, as a dense complex array.
+
+    Each row is first divided by a monomial lam**shift, with shift its
+    largest exponent when |lambda| >= 1 and its smallest otherwise, so that
+    no power exceeds 1 in magnitude and none can overflow.  Scaling a row
+    leaves the rank alone.  A scaled row holds a term of magnitude 1 before
+    any cancellation, so ``betti_profile`` ranks these arrays against an
+    absolute scale of 1, as the full delta_p with its +-1 entries would be:
+    a real theta that closes only up to rounding leaves t**x - t**(x + eps)
+    where the exact residual has a zero, and that noise must not set the
+    rank cut.
+    """
+    lam = complex(lam)
+    big = abs(lam) >= 1
+    a = np.zeros((len(rows), ncols), dtype=complex)
+    for r, row in enumerate(rows):
+        if not row:
+            continue
+        exps = [x for ent in row.values() for x in ent]
+        shift = max(exps) if big else min(exps)
+        for c, ent in row.items():
+            a[r, c] = sum(y * _power(lam, x - shift) for x, y in ent.items())
+    return a
+
+
 @dataclass(frozen=True)
 class BettiProfile:
     """Twisted cohomology dimensions with their computation context."""
@@ -181,26 +362,33 @@ def betti_profile(
 ) -> BettiProfile:
     """All twisted cohomology dimensions of (k, theta, lambda).
 
-    backend "float" forces numeric rank on an exact lambda; exact backends
-    run tolerance-free.  The ill_conditioned flag reports whether any
-    singular value fell near the rank cut (float backend only).
+    The ranks are taken on the residual complex of ``reduce`` evaluated at
+    lambda.  backend "float" forces numeric rank on an exact lambda; exact
+    backends run tolerance-free.  The ill_conditioned flag reports whether
+    any singular value of a residual coboundary fell near the rank cut
+    (float backend only).
     """
     lam, backend, tol = _arithmetic(lam, backend=backend, tolerance=tolerance)
     weights = LocalSystemWeights(k, theta, lam)
     is_float = backend == "float"
+    if is_float:
+        for u, v in k.edges:
+            weights.weight(u, v)  # NumericalError once a weight leaves the float range
+    residual = reduce(k, theta)
     ranks = []
     ill_any = False
-    for p in range(k.dim + 1):
+    for p, rows in enumerate(residual.deltas):
         if is_float:
-            r, ill = _float_rank(_coboundary_array(k, weights, p), tol)
+            a = _float_array(rows, residual.sizes[p], lam)
+            r, ill = _float_rank(a, tol, floor=1.0)
         else:
-            r, ill = _exact_rank_columns(_coboundary_rows(k, weights, p)), False
+            r, ill = _exact_rank_columns(_exact_rows(rows, lam)), False
         ranks.append(r)
         ill_any = ill_any or ill
-    dims = []
-    for p in range(k.dim + 1):
-        below = ranks[p - 1] if p > 0 else 0
-        dims.append(k.n_simplices(p) - ranks[p] - below)
+    dims = [
+        residual.sizes[p] - ranks[p] - (ranks[p - 1] if p else 0)
+        for p in range(k.dim + 1)
+    ]
     euler = sum((-1) ** p * d for p, d in enumerate(dims))
     return BettiProfile(
         dims=tuple(dims),

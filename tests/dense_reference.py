@@ -5,14 +5,18 @@ action.  Products and transposes in the tests run on numpy ``dtype=object``
 arrays of the matrix entries, so Fraction and number-field arithmetic stays
 exact.  ``boundary`` is the simplicial boundary operator built straight from
 the sorted simplex tables, independent of the sparse coboundary assembly in
-``novikov.twisted``.
+``novikov.twisted``.  ``dense_route_dims`` is the full route to the twisted
+Betti numbers, the declared cross-check of ``betti_profile``: it ranks every
+coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
+residual of ``novikov.twisted.reduce``.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from novikov.scalars import Matrix
+from novikov.scalars import Matrix, _arithmetic, _exact_rank_columns, _float_rank
+from novikov.twisted import LocalSystemWeights, _coboundary_array, _coboundary_rows
 
 
 def dense(m: Matrix) -> np.ndarray:
@@ -40,3 +44,23 @@ def boundary(k, p: int) -> np.ndarray:
             for i in range(len(s)):
                 out[k.simplex_index(s[:i] + s[i + 1 :]), j] = Fraction((-1) ** i)
     return out
+
+
+def dense_route_dims(k, theta, lam) -> tuple:
+    """Twisted Betti numbers from the ranks of the full coboundaries at lambda.
+
+    Exact lambda eliminates on the sparse rows of every delta_p; float
+    lambda takes the singular values of the dense complex delta_p.
+    """
+    lam, backend, tol = _arithmetic(lam)
+    weights = LocalSystemWeights(k, theta, lam)
+    ranks = [
+        _float_rank(_coboundary_array(k, weights, p), tol)[0]
+        if backend == "float"
+        else _exact_rank_columns(_coboundary_rows(k, weights, p))
+        for p in range(k.dim + 1)
+    ]
+    return tuple(
+        k.n_simplices(p) - ranks[p] - (ranks[p - 1] if p else 0)
+        for p in range(k.dim + 1)
+    )

@@ -252,9 +252,19 @@ def test_validation_errors_exit_2(tmp_path):
         dict(circle3_payload, cocycle={"mode": "exact", "values": [[0, 1, 5], *values]}),
         dict(circle3_payload, cocycle={"mode": "exact", "values": [*values, [0, 5, 7]]}),
         dict(circle3_payload, maximal_simplices=[[0, True], [0, 2], [1, 2]]),
+        dict(circle3_payload, maximal_simplices=[0, 1]),
+        dict(circle3_payload, cocycle={"mode": "exact", "values": 5}),
+        dict(circle3_payload, cocycle=[1]),
+        # endpoints 0.9 and false in place of the 0 of edge (0, 2), values[1]
+        *(
+            dict(circle3_payload, cocycle={"mode": "exact", "values": [
+                values[0], [bad, 2, 0], values[2],
+            ]})
+            for bad in (0.9, False)
+        ),
     )
-    blocks = ([[["1"]]], {"-1": [["2"]], "0": [["1"]]})
-    weights = ([[1, 1, 1]], {"7": [1.0]}, {"0": [1.0, float("inf"), 1.0]})
+    blocks = ([[["1"]]], {"-1": [["2"]], "0": [["1"]]}, {"0": 5})
+    weights = ([[1, 1, 1]], {"7": [1.0]}, {"0": [1.0, float("inf"), 1.0]}, {"0": 5})
 
     def written(name, payload):
         path = tmp_path / f"{name}.json"

@@ -1,27 +1,41 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import boundary, dense
-from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform
+from dense_reference import boundary, dense, dense_route_dims
+from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform, zero_cocycle
 from novikov.complexes import SimplicialComplex, circle, sphere_boundary
-from novikov.constructions import cyclic_cover, torus_grid
+from novikov.constructions import (
+    cyclic_cover,
+    mapping_torus,
+    product,
+    torus_grid,
+    torus_grid_map,
+)
 from novikov.errors import BackendMismatchError
 from novikov.hodge import harmonic_representative, hodge_decompose, laplacian_spectrum
-from novikov.scalars import Matrix, NumberFieldElement, parse_scalar, rank_with_flag
+from novikov.scalars import Matrix, NumberFieldElement, parse_scalar
+from novikov.serialization import load_complex
 from novikov.twisted import (
     BettiProfile,
     LocalSystemWeights,
     _coboundary_rows,
+    _eliminate,
+    _laurent_rows,
     betti_profile,
     duality_check,
     kunneth_check,
+    reduce,
     twisted_coboundary,
 )
+from test_acceptance import random_closed_cocycle, random_small_complex
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def full_theta(k, special, mode="exact"):
@@ -289,20 +303,44 @@ def test_exact_assembly_entries_are_field_elements():
                 assert all(type(v) is kind for v in row.values())
 
 
-def dense_route_dims(k, theta, lam):
-    ranks = [
-        rank_with_flag(twisted_coboundary(k, theta, lam, p))[0]
-        for p in range(k.dim + 1)
-    ]
-    return tuple(
-        k.n_simplices(p) - ranks[p] - (ranks[p - 1] if p else 0)
-        for p in range(k.dim + 1)
-    )
+# the gluings of torus_grid(3) that mapping tori are built with
+GLUINGS = {
+    "identity": [[1, 0], [0, 1]],
+    "flip": [[-1, 0], [0, -1]],
+    "swap": [[0, 1], [1, 0]],
+    "order six": [[1, -1], [1, 0]],
+}
+SHAPES = ("circle", "torus", "cover", *GLUINGS, "circle x circle", "random")
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+def cross_check_case(shape, m, sheets, winding, seed):
+    """(complex, gauged closed cocycle) of one shape of the cross-check."""
+    if shape == "circle":
+        k = circle(m + 2)
+        theta = full_theta(k, {(0, 1): winding})
+    elif shape in GLUINGS:
+        mt = mapping_torus(torus_grid(3), torus_grid_map(3, GLUINGS[shape]), layers=3)
+        k, theta = mt.complex, mt.fiber_cocycle
+    elif shape == "circle x circle":
+        prod = product(circle(3), circle(3))
+        k = prod.complex
+        theta = prod.combine_cocycles(
+            full_theta(circle(3), {(0, 1): winding}), full_theta(circle(3), {(0, 1): 1})
+        )
+    elif shape == "random":
+        k, loop = random_small_complex(random.Random(seed))
+        theta = random_closed_cocycle(k, random.Random(seed), loop)
+    else:
+        k, theta = winding_torus(m, winding)
+        if shape == "cover":
+            cover = cyclic_cover(k, theta, sheets)
+            k, theta = cover.complex, cover.theta_lift
+    return k, gauged(k, theta, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    shape=st.sampled_from(("circle", "torus", "cover")),
+    shape=st.sampled_from(SHAPES),
     m=st.integers(3, 4),
     sheets=st.integers(2, 3),
     winding=st.integers(-2, 2),
@@ -310,20 +348,90 @@ def dense_route_dims(k, theta, lam):
     lam=st.sampled_from(
         (Fraction(1), Fraction(2), Fraction(-7, 9), NF_LAMBDA, 0.625, 1.0, -1.0 + 0.5j)
     ),
+    harmonic=st.booleans(),
 )
-def test_sparse_profile_matches_dense_route(shape, m, sheets, winding, seed, lam):
-    if shape == "circle":
-        k = circle(m + 2)
-        theta = full_theta(k, {(0, 1): winding})
-    else:
-        k, theta = winding_torus(m, winding)
-        if shape == "cover":
-            cover = cyclic_cover(k, theta, sheets)
-            k, theta = cover.complex, cover.theta_lift
-    theta = gauged(k, theta, seed)
+# every shape at least once, and the real cocycle at each float lambda
+@example(shape="identity", m=3, sheets=2, winding=1, seed=1, lam=Fraction(-7, 9), harmonic=False)
+@example(shape="flip", m=3, sheets=2, winding=1, seed=2, lam=NF_LAMBDA, harmonic=False)
+@example(shape="swap", m=3, sheets=2, winding=1, seed=3, lam=Fraction(1), harmonic=False)
+@example(shape="order six", m=3, sheets=2, winding=1, seed=4, lam=0.625, harmonic=True)
+@example(shape="circle x circle", m=3, sheets=2, winding=2, seed=5, lam=-1.0 + 0.5j, harmonic=True)
+@example(shape="random", m=3, sheets=2, winding=1, seed=6, lam=Fraction(2), harmonic=False)
+@example(shape="random", m=3, sheets=2, winding=1, seed=7, lam=1.0, harmonic=True)
+@example(shape="cover", m=3, sheets=3, winding=1, seed=8, lam=NF_LAMBDA, harmonic=False)
+# an exact class: the harmonic theta closes only up to rounding
+@example(shape="circle", m=3, sheets=2, winding=0, seed=2, lam=0.625, harmonic=True)
+@example(shape="circle", m=3, sheets=2, winding=0, seed=2, lam=-1.0 + 0.5j, harmonic=True)
+def test_sparse_profile_matches_dense_route(shape, m, sheets, winding, seed, lam, harmonic):
+    k, theta = cross_check_case(shape, m, sheets, winding, seed)
     if lam == NF_LAMBDA:
         lam = parse_scalar(lam)
+    elif harmonic and isinstance(lam, (float, complex)):
+        # a real cocycle needs a float lambda
+        theta = harmonic_representative(k, theta)
     assert betti_profile(k, theta, lam).dims == dense_route_dims(k, theta, lam)
+
+
+def test_reduce_shrinks_torus3_and_its_covers_to_their_cohomology():
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    theta = gauged(k, theta, 3)
+    covers = [cyclic_cover(k, theta, sheets) for sheets in (2, 3)]
+    circle3 = load_complex(FIXTURES / "circle3.json")
+    prod = product(k, circle3[0])
+    cases = [
+        (k, theta, (1, 3, 3, 1)),
+        *((c.complex, c.theta_lift, (1, 3, 3, 1)) for c in covers),
+        (prod.complex, prod.combine_cocycles(theta, circle3[1]), (1, 4, 6, 4, 1)),
+    ]
+    for kk, tt, sizes in cases:
+        red = reduce(kk, tt)
+        assert red.sizes == sizes
+        dropped, paired_below = set(), 0
+        for p in range(kk.dim + 1):
+            # degree p of reduce, replayed to see its pivots
+            pivots = _eliminate(_laurent_rows(kk, tt, p, dropped), kk.n_simplices(p))
+            for _, _, unit in pivots:
+                ((_, c),) = unit.items()  # a monomial +-t**e
+                assert c in (1, -1)
+            # the p-cells gone are those paired above and those paired below
+            assert len(pivots) == kk.n_simplices(p) - sizes[p] - paired_below
+            dropped, paired_below = {b for b, _, _ in pivots}, len(pivots)
+            assert len(red.deltas[p]) == (sizes[p + 1] if p < kk.dim else 0)
+            assert all(0 <= c < sizes[p] for row in red.deltas[p] for c in row)
+        assert paired_below == 0  # nothing sits above the top degree
+
+
+def test_float_residual_rounding_noise_is_not_rank():
+    # the holonomy 1.1 + 2.2 - 3.3 is about 4e-16, not 0: the residual entry
+    # t**-1.1 - t**-1.0999999999999996 is rounding noise around zero
+    k = circle(3)
+    theta = OneCocycle({(0, 1): 1.1, (1, 2): 2.2, (0, 2): 3.3}, mode="float")
+    for lam in (2.0, 0.5, -1.0 + 0.5j):
+        prof = betti_profile(k, theta, lam)
+        assert prof.dims == dense_route_dims(k, theta, lam) == (1, 1)
+        assert not prof.ill_conditioned
+
+
+def test_float_betti_needs_no_small_exponents():
+    # the full route answered (1, 1), unflagged, from weights 1, 2**20 and 2**21
+    k = circle(3)
+    theta = OneCocycle({(0, 1): 20, (1, 2): 0, (0, 2): 21})
+    assert betti_profile(k, theta, Fraction(2)).dims == (0, 0)
+    assert betti_profile(k, theta, 2.0).dims == (0, 0)
+    # the residual entry is t**300 - t**-300: each row is scaled by the power
+    # of lambda that keeps it in range, 10.0**600 would overflow
+    theta = OneCocycle({(0, 1): 300, (1, 2): 300, (0, 2): 0})
+    for lam in (10.0, 0.1, -10.0, Fraction(10)):
+        assert betti_profile(k, theta, lam).dims == (0, 0)
+    # the full route answered (15, 41, 26), from weights 3**-60 to 3**60
+    k = torus_grid(4)
+    rng = random.Random(0)
+    f = ZeroCochain({v: rng.randint(-30, 30) for v in range(k.vertex_count)})
+    theta = gauge_transform(zero_cocycle(k), f)
+    assert betti_profile(k, theta, Fraction(3)).dims == (1, 2, 1)
+    prof = betti_profile(k, theta, 3.0)
+    assert prof.dims == (1, 2, 1)
+    assert not prof.ill_conditioned
 
 
 def test_pipelines_build_no_dense_matrix(monkeypatch):
