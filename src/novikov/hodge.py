@@ -13,6 +13,16 @@ backends have no square roots or conjugation, so lambda is coerced to a
 float up front by the backend decision of ``scalars``, which refuses a
 number-field lambda and raises NumericalError past the float range.
 
+When every coboundary entry has an exactly zero imaginary part, as for a
+positive lambda, the coboundaries are float64 and so are ``adjoint`` and
+``laplacian``: the products and the eigensolver run in real arithmetic at
+about half the cost of complex Hermitian ones.  The decision reads the
+assembled entries, not the sign of lambda or the kind of theta: the complex
+power leaves an imaginary part at a negative lambda once the exponent is
+large (complex(-2.0) ** complex(101) has imaginary part 2.2e16), and an
+entry test keeps the real parts bit for bit either way.  A Laplacian whose
+products leave the float range raises NumericalError.
+
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
 natural but misclassify near-kernels: a coboundary within eps of a singular
@@ -103,9 +113,16 @@ def _resolve(k, weights) -> InnerProduct:
 
 
 def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
-    """Float coboundaries in the given degrees, each assembled once."""
+    """Float coboundaries in the given degrees, each assembled once.
+
+    They come back as float64 when no entry has a nonzero imaginary part,
+    complex otherwise.
+    """
     weights = LocalSystemWeights(k, theta, _arithmetic(lam, backend="float")[0])
-    return [_coboundary_array(k, weights, p) for p in degrees]
+    deltas = [_coboundary_array(k, weights, p) for p in degrees]
+    if any(d.imag.any() for d in deltas):
+        return deltas
+    return [d.real for d in deltas]
 
 
 def _adjoint_of(d: np.ndarray, w: InnerProduct, p: int) -> np.ndarray:
@@ -145,8 +162,13 @@ def laplacian_spectrum(
     n = k.n_simplices(p)
     if n == 0:
         return np.zeros(0)
+    # finite weights can still multiply past the float range in the products
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = _symmetrized(k, theta, lam, p, w)
+    if not np.isfinite(sym).all():
+        raise NumericalError(f"degree {p} Laplacian leaves the float range")
     try:
-        return np.linalg.eigvalsh(_symmetrized(k, theta, lam, p, w))
+        return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solve failed in degree {p}: {exc}") from exc
 
@@ -274,7 +296,7 @@ def harmonic_representative(
     edges = k.edges
     vec = np.asarray([float(theta.value(u, v)) for (u, v) in edges])
     (d0,) = _deltas(k, zero_cocycle(k), 1.0, 0)
-    drop = _weighted_projection(vec, d0.real, w.vector(1))
+    drop = _weighted_projection(vec, d0, w.vector(1))
     rep = vec - drop
     return OneCocycle(
         {e: float(rep[i]) for i, e in enumerate(edges)}, mode="float"

@@ -136,8 +136,12 @@ def _coboundary_array(k: SimplicialComplex, weights: LocalSystemWeights, p: int)
     """Dense complex delta_p; outside degrees 0..dim it is the zero map."""
     a = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=complex)
     if 0 <= p <= k.dim:
+        rows, cols, vals = [], [], []
         for r, row in enumerate(_coboundary_rows(k, weights, p)):
-            a[r, list(row)] = list(row.values())
+            rows += [r] * len(row)
+            cols += row
+            vals += row.values()
+        a[rows, cols] = vals
     return a
 
 

@@ -8,7 +8,10 @@ the sorted simplex tables, independent of the sparse coboundary assembly in
 ``novikov.twisted``.  ``dense_route_dims`` is the full route to the twisted
 Betti numbers, the declared cross-check of ``betti_profile``: it ranks every
 coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
-residual of ``novikov.twisted.reduce``.
+residual of ``novikov.twisted.reduce``.  ``complex_hodge_spectrum`` is the
+Laplacian spectrum in complex arithmetic throughout, the declared
+cross-check of ``novikov.hodge.laplacian_spectrum``, which runs in real
+arithmetic when every coboundary entry is real.
 """
 
 from fractions import Fraction
@@ -44,6 +47,26 @@ def boundary(k, p: int) -> np.ndarray:
             for i in range(len(s)):
                 out[k.simplex_index(s[:i] + s[i + 1 :]), j] = Fraction((-1) ** i)
     return out
+
+
+def complex_hodge_spectrum(k, theta, lam, p: int, w) -> np.ndarray:
+    """Degree-p weighted Laplacian spectrum from complex deltas.
+
+    The complex ``_coboundary_array`` of degrees p-1 and p, their weighted
+    adjoints W^{-1} delta^H W, the symmetrization W^{1/2} Lap W^{-1/2} and
+    ``eigvalsh``, all in complex128 whatever the entries are.  w is an
+    ``InnerProduct``.
+    """
+    weights = LocalSystemWeights(k, theta, _arithmetic(lam, backend="float")[0])
+    below, here = (_coboundary_array(k, weights, q) for q in (p - 1, p))
+
+    def adjoint(d, q):
+        return (d.conj().T * w.vector(q + 1)) / w.vector(q)[:, None]
+
+    lap = adjoint(here, p) @ here + below @ adjoint(below, p - 1)
+    root = np.sqrt(w.vector(p))
+    sym = (root[:, None] * lap) / root
+    return np.linalg.eigvalsh((sym + sym.conj().T) / 2)
 
 
 def dense_route_dims(k, theta, lam) -> tuple:

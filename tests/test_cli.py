@@ -344,6 +344,9 @@ def test_numerical_errors_exit_3(tmp_path):
         ("hodge", "--complex", str(steep), "--lambda", "10.0"),
         ("betti", "--complex", circle3, "--backend", "float", "--lambda", huge),
         ("hodge", "--complex", circle3, "--lambda", huge),
+        # finite weights whose products in the Laplacian reach 1e400
+        ("hodge", "--complex", str(FIXTURES / "torus2.json"), "--lambda=1e200"),
+        ("hodge", "--complex", str(FIXTURES / "torus2.json"), "--lambda=1+1e308j"),
         ("wang", "--action", str(action), "--lambda", "2.0"),
         ("wang", "--action", str(action), "--backend", "float", "--lambda", "2"),
         ("bounds", "--n", "3", "--x", "1e200"),
@@ -356,6 +359,7 @@ def test_numerical_errors_exit_3(tmp_path):
         assert proc.returncode == 3, argv
         assert b"numerical" in proc.stderr
         assert b"Traceback" not in proc.stderr
+        assert b"Warning" not in proc.stderr, argv
 
 
 def test_hodge_solves_each_laplacian_spectrum_once(monkeypatch, capsys):

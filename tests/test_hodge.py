@@ -1,13 +1,24 @@
+import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from novikov.cocycles import OneCocycle, holonomy
+from novikov.cocycles import (
+    OneCocycle,
+    ZeroCochain,
+    gauge_transform,
+    holonomy,
+    zero_cocycle,
+)
 from novikov.complexes import SimplicialComplex, circle, point, sphere_boundary
-from novikov.constructions import product, torus_grid
+from novikov.constructions import cyclic_cover, product, torus_grid
 from novikov.errors import BackendMismatchError, NormalizationError, NumericalError
+from novikov import hodge
 from novikov.hodge import (
+    DEFAULT_HARMONIC_THRESHOLD,
     InnerProduct,
     adjoint,
     harmonic_dim,
@@ -21,7 +32,12 @@ from novikov.hodge import (
 )
 from novikov import twisted
 from novikov.scalars import parse_scalar
+from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, twisted_coboundary
+
+from dense_reference import complex_hodge_spectrum
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def winding_theta(m, w=1):
@@ -298,3 +314,72 @@ def test_lambda_outside_the_float_backend_is_refused():
         harmonic_dim(c, ct, 10**400, 0)
     with pytest.raises(BackendMismatchError):
         harmonic_dim(c, ct, parse_scalar("nf:x^2-3*x+1:x"), 0)
+
+
+def test_laplacian_overflow_is_a_numerical_error():
+    # every weight 1e200**theta is finite, but products in the Laplacian
+    # reach 1e400
+    k, theta = load_complex(FIXTURES / "torus2.json")
+    with pytest.raises(NumericalError, match="float range"):
+        harmonic_dim(k, theta, 1e200, 0)
+    with pytest.raises(NumericalError, match="float range"):
+        laplacian_spectrum(k, theta, 1 + 1e308j, 0)
+
+
+def real_path_case(shape, seed):
+    """(complex, closed cocycle, inner product) of one real-path cross-check."""
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    if shape == "cover":
+        cover = cyclic_cover(k, theta, 2)
+        k, theta = cover.complex, cover.theta_lift
+    elif shape == "gauged torus_grid(4)":
+        k = torus_grid(4)
+        rng = random.Random(seed)
+        f = ZeroCochain({v: rng.randrange(-4, 5) for v in range(k.vertex_count)})
+        theta = gauge_transform(zero_cocycle(k), f)
+    elif shape == "weighted torus3":
+        return k, theta, random_weights(k, random.Random(seed))
+    return k, theta, InnerProduct(k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(("torus3", "cover", "gauged torus_grid(4)", "weighted torus3")),
+    lam=st.sampled_from((0.5, 0.8, 1.0, 1.25, 2.0, -1.0, -2.0, -1 + 0.5j)),
+    seed=st.integers(0, 2**16),
+)
+# every shape at least once, and each real-arithmetic hazard: a negative
+# lambda, and a complex one
+@example(shape="torus3", lam=0.5, seed=0)
+@example(shape="cover", lam=-2.0, seed=0)
+@example(shape="gauged torus_grid(4)", lam=-1 + 0.5j, seed=1)
+@example(shape="weighted torus3", lam=-1.0, seed=2)
+def test_spectrum_matches_complex_reference(shape, lam, seed):
+    k, theta, w = real_path_case(shape, seed)
+    for p in range(k.dim + 1):
+        spectrum = laplacian_spectrum(k, theta, lam, p, w)
+        reference = complex_hodge_spectrum(k, theta, lam, p, w)
+        assert np.abs(spectrum - reference).max() <= 1e-12 * reference.max()
+        dim, gap = hodge._dim_and_gap(spectrum, DEFAULT_HARMONIC_THRESHOLD)
+        ref_dim, ref_gap = hodge._dim_and_gap(reference, DEFAULT_HARMONIC_THRESHOLD)
+        assert dim == ref_dim, (shape, lam, p)
+        assert (gap is None) == (ref_gap is None)
+        if gap is not None:
+            assert abs(gap - ref_gap) <= 1e-9 * ref_gap
+
+
+def test_real_entries_choose_real_arithmetic():
+    def dtypes(k, theta, lam):
+        deltas = hodge._deltas(k, theta, lam, *range(-1, k.dim + 1))
+        return {d.dtype for d in deltas} | {laplacian(k, theta, lam, 1).dtype}
+
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    assert dtypes(k, theta, 0.5) == {np.dtype(np.float64)}
+    assert dtypes(k, theta, -2.0) == {np.dtype(np.float64)}
+    assert dtypes(k, theta, -1 + 0.5j) == {np.dtype(complex)}
+    # a real theta: a non-integer power of -2.0 leaves the real axis
+    assert dtypes(k, harmonic_representative(k, theta), -2.0) == {np.dtype(complex)}
+    # an integer theta: complex(-2.0)**complex(101) has imaginary part 2.2e16
+    c = circle(3)
+    big = OneCocycle({(0, 1): 101, (1, 2): 0, (0, 2): 101})
+    assert dtypes(c, big, -2.0) == {np.dtype(complex)}
