@@ -87,7 +87,6 @@ from .serialization import (
 )
 from .twisted import (
     BettiProfile,
-    LocalSystemWeights,
     betti_profile,
     duality_check,
     kunneth_check,
@@ -109,7 +108,6 @@ __all__ = [
     "InnerProduct",
     "InvalidLoopError",
     "InvalidMapError",
-    "LocalSystemWeights",
     "MappingTorus",
     "Matrix",
     "MinimalPolynomial",

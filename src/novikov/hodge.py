@@ -20,8 +20,9 @@ about half the cost of complex Hermitian ones.  The decision reads the
 assembled entries, not the sign of lambda or the kind of theta: the complex
 power leaves an imaginary part at a negative lambda once the exponent is
 large (complex(-2.0) ** complex(101) has imaginary part 2.2e16), and an
-entry test keeps the real parts bit for bit either way.  A Laplacian whose
-products leave the float range raises NumericalError.
+entry test keeps the real parts bit for bit either way.  An adjoint,
+Laplacian or Hodge decomposition whose products leave the float range
+raises NumericalError.
 
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
@@ -43,8 +44,7 @@ import numpy as np
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, zero_cocycle
 from .errors import NormalizationError, NumericalError
-from .scalars import _arithmetic
-from .twisted import LocalSystemWeights, _coboundary_array
+from .twisted import _coboundary_array, _local_system
 
 __all__ = [
     "DEFAULT_HARMONIC_THRESHOLD",
@@ -118,8 +118,8 @@ def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
     They come back as float64 when no entry has a nonzero imaginary part,
     complex otherwise.
     """
-    weights = LocalSystemWeights(k, theta, _arithmetic(lam, backend="float")[0])
-    deltas = [_coboundary_array(k, weights, p) for p in degrees]
+    lam = _local_system(k, theta, lam, backend="float")[0]
+    deltas = [_coboundary_array(k, theta, lam, p) for p in degrees]
     if any(d.imag.any() for d in deltas):
         return deltas
     return [d.real for d in deltas]
@@ -127,6 +127,13 @@ def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
 
 def _adjoint_of(d: np.ndarray, w: InnerProduct, p: int) -> np.ndarray:
     return (d.conj().T * w.vector(p + 1)) / w.vector(p)[:, None]
+
+
+def _require_finite(what: str, *arrays) -> None:
+    # finite weights can still multiply past the float range in the products,
+    # which run with numpy's overflow warnings off and are checked here
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{what} leaves the float range")
 
 
 def adjoint(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) -> np.ndarray:
@@ -137,21 +144,19 @@ def adjoint(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) 
     on the right.
     """
     (d,) = _deltas(k, theta, lam, p)
-    return _adjoint_of(d, _resolve(k, weights), p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj = _adjoint_of(d, _resolve(k, weights), p)
+    _require_finite(f"degree {p} adjoint", adj)
+    return adj
 
 
 def laplacian(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) -> np.ndarray:
     w = _resolve(k, weights)
     below, here = _deltas(k, theta, lam, p - 1, p)
-    return _adjoint_of(here, w, p) @ here + below @ _adjoint_of(below, w, p - 1)
-
-
-def _symmetrized(k, theta, lam, p, w: InnerProduct) -> np.ndarray:
-    # W^{1/2} Lap W^{-1/2} is Hermitian PSD with the same spectrum
-    root = np.sqrt(w.vector(p))
-    lap = laplacian(k, theta, lam, p, w)
-    sym = (root[:, None] * lap) / root
-    return (sym + sym.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = _adjoint_of(here, w, p) @ here + below @ _adjoint_of(below, w, p - 1)
+    _require_finite(f"degree {p} Laplacian", lap)
+    return lap
 
 
 def laplacian_spectrum(
@@ -162,11 +167,13 @@ def laplacian_spectrum(
     n = k.n_simplices(p)
     if n == 0:
         return np.zeros(0)
-    # finite weights can still multiply past the float range in the products
+    lap = laplacian(k, theta, lam, p, w)
+    root = np.sqrt(w.vector(p))
+    # W^{1/2} Lap W^{-1/2} is Hermitian PSD with the same spectrum
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = _symmetrized(k, theta, lam, p, w)
-    if not np.isfinite(sym).all():
-        raise NumericalError(f"degree {p} Laplacian leaves the float range")
+        sym = (root[:, None] * lap) / root
+        sym = (sym + sym.conj().T) / 2
+    _require_finite(f"degree {p} Laplacian", sym)
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
@@ -270,13 +277,15 @@ def hodge_decompose(
         raise ValueError(f"cochain has shape {alpha.shape}, need ({n},)")
     wv = w.vector(p)
     below, here = _deltas(k, theta, lam, p - 1, p)
-    exact = _weighted_projection(alpha, below, wv)
-    coexact = _weighted_projection(alpha, _adjoint_of(here, w, p), wv)
-    harmonic = alpha - exact - coexact
-    scale = max(float(np.linalg.norm(alpha)), 1.0)
-    # the harmonic remainder must be killed by both operators
-    r1 = np.linalg.norm(here @ harmonic)
-    r2 = np.linalg.norm(_adjoint_of(below, w, p - 1) @ harmonic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = _weighted_projection(alpha, below, wv)
+        coexact = _weighted_projection(alpha, _adjoint_of(here, w, p), wv)
+        harmonic = alpha - exact - coexact
+        scale = max(float(np.linalg.norm(alpha)), 1.0)
+        # the harmonic remainder must be killed by both operators
+        r1 = np.linalg.norm(here @ harmonic)
+        r2 = np.linalg.norm(_adjoint_of(below, w, p - 1) @ harmonic)
+    _require_finite(f"degree {p} Hodge decomposition", harmonic, (r1, r2))
     residual = float(max(r1, r2) / scale)
     return HodgeParts(harmonic=harmonic, exact=exact, coexact=coexact, residual=residual)
 

@@ -23,7 +23,9 @@ the size of its cohomology, with the same cohomology at every lambda != 0.
     dims[p] = #residual C^p - rank delta_p - rank delta_{p-1},
 
 exactly for rational / number field lambda and through singular values for
-float lambda.  Hodge and Wang read the full assembly, ``_coboundary_rows``.
+float lambda.  One face rule, ``_rows``, writes every coboundary entry:
+over Z[t, 1/t] for ``reduce``, and at lambda for Hodge, Wang and
+``twisted_coboundary``, which read the full assembly ``_coboundary_rows``.
 All functions are pure and safe to call from concurrent readers; results
 depend only on their arguments.
 """
@@ -41,7 +43,6 @@ from .cocycles import OneCocycle, validate_closed
 from .errors import BackendMismatchError, NumericalError
 from .scalars import (
     Matrix,
-    NumberFieldElement,
     _arithmetic,
     _exact_rank_columns,
     _float_rank,
@@ -49,7 +50,6 @@ from .scalars import (
 )
 
 __all__ = [
-    "LocalSystemWeights",
     "twisted_coboundary",
     "Reduction",
     "reduce",
@@ -60,84 +60,92 @@ __all__ = [
 ]
 
 
-class LocalSystemWeights:
-    """Edge weights lambda**theta(e) of the rank-one local system.
+def _local_system(
+    k: SimplicialComplex, theta: OneCocycle, lam, backend=None, tolerance=None
+):
+    """The one check of a local system; returns ``_arithmetic``'s triple.
 
-    Exact backends require integer theta so the weights live in the scalar
-    field; the float backend accepts real exponents through the principal
-    power branch.
+    Exact backends require integer theta so the weights lambda**theta(e)
+    live in the scalar field; the float backend accepts real exponents
+    through the principal power branch.  Theta must be closed on k.
     """
-
-    __slots__ = ("complex", "theta", "lam", "backend")
-
-    def __init__(self, k: SimplicialComplex, theta: OneCocycle, lam):
-        lam, backend, _ = _arithmetic(lam)
-        if backend != "float" and theta.mode != "exact":
-            raise BackendMismatchError(
-                "exact lambda needs an integer cocycle; use float lambda "
-                "for real-valued theta"
-            )
-        if not validate_closed(k, theta):
-            raise ValueError("cocycle is not closed on this complex")
-        object.__setattr__(self, "complex", k)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "backend", backend)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LocalSystemWeights is immutable")
-
-    def weight(self, u: int, v: int):
-        """Transport weight along the oriented edge u -> v."""
-        e = self.theta.value(u, v)
-        if self.backend != "float":
-            return self.lam ** e
-        try:
-            w = complex(self.lam) ** complex(e)
-            if cmath.isfinite(w):
-                return w
-        except (OverflowError, ZeroDivisionError):
-            pass
-        raise NumericalError(f"lambda**theta on edge ({u}, {v}) leaves the float range")
-
-    def one(self):
-        if self.backend == "float":
-            return 1.0 + 0j
-        if self.backend == "nf":
-            return NumberFieldElement.constant(1, self.lam.minpoly)
-        return Fraction(1)
+    lam, backend, tol = _arithmetic(lam, backend=backend, tolerance=tolerance)
+    if backend != "float" and theta.mode != "exact":
+        raise BackendMismatchError(
+            "exact lambda needs an integer cocycle; use float lambda "
+            "for real-valued theta"
+        )
+    if not validate_closed(k, theta):
+        raise ValueError("cocycle is not closed on this complex")
+    return lam, backend, tol
 
 
-def _coboundary_rows(k: SimplicialComplex, weights: LocalSystemWeights, p: int):
+def _rows(k: SimplicialComplex, theta: OneCocycle, p: int, power, signs, dropped=()):
     """delta_p as sparse rows, one {column: entry} dict per (p+1)-simplex.
 
-    This is the only code that computes coboundary entries at a lambda;
-    ``_laurent_rows`` writes the same rows over Z[t, 1/t].  Face 0 carries
-    the transport weight of the leading edge and face i the sign (-1)^i, so
-    a row has p+2 entries.  Exact entries are Fraction or NumberFieldElement,
-    never a plain int, which would turn exact elimination into float
-    arithmetic; float entries are complex.
+    This is the one face rule of the twisted coboundary.  Face 0 of tau
+    carries power(theta(tau0, tau1)), the transport along the leading edge,
+    which is increasing, so its value is the stored one; face i carries
+    signs[i % 2], the sign (-1)**i.  Columns in ``dropped`` are left out.
     """
     if p < 0 or p > k.dim:
         raise ValueError(f"degree {p} out of range for dim {k.dim}")
-    one = weights.one()
-    signs = (one, 0 - one)  # not -one, whose float form has a -0.0 imaginary part
     index = k._index[p]
+    values = theta.values
     rows = []
     for tau in k.simplices[p + 1] if p < k.dim else ():
-        row = {index[tau[1:]]: weights.weight(tau[0], tau[1])}
+        row = {}
+        c = index[tau[1:]]
+        if c not in dropped:
+            row[c] = power(values[tau[:2]])
         for i in range(1, len(tau)):
-            row[index[tau[:i] + tau[i + 1 :]]] = signs[i % 2]
+            c = index[tau[:i] + tau[i + 1 :]]
+            if c not in dropped:
+                row[c] = signs[i % 2]
         rows.append(row)
     return rows
 
 
-def _coboundary_array(k: SimplicialComplex, weights: LocalSystemWeights, p: int):
+def _weight(lam):
+    """x -> lam**x, the transport weight at a lambda from ``_local_system``.
+
+    Exact weights are Fraction or NumberFieldElement; float weights are
+    complex, and one past the float range raises NumericalError.
+    """
+    if not isinstance(lam, (float, complex)):
+        return lambda x: lam ** x
+    z = complex(lam)
+
+    def weight(x):
+        try:
+            w = z ** complex(x)
+            if cmath.isfinite(w):
+                return w
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise NumericalError(f"lambda**theta = {lam}**{x} leaves the float range")
+
+    return weight
+
+
+def _coboundary_rows(k: SimplicialComplex, theta: OneCocycle, lam, p: int):
+    """delta_p at a lambda from ``_local_system``.
+
+    Its entries are never a plain int, which would turn exact elimination
+    into float arithmetic.
+    """
+    weight = _weight(lam)
+    one = weight(0)
+    # not -one, whose float form has a -0.0 imaginary part
+    return _rows(k, theta, p, weight, (one, 0 - one))
+
+
+def _coboundary_array(k: SimplicialComplex, theta: OneCocycle, lam, p: int):
     """Dense complex delta_p; outside degrees 0..dim it is the zero map."""
     a = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=complex)
     if 0 <= p <= k.dim:
         rows, cols, vals = [], [], []
-        for r, row in enumerate(_coboundary_rows(k, weights, p)):
+        for r, row in enumerate(_coboundary_rows(k, theta, lam, p)):
             rows += [r] * len(row)
             cols += row
             vals += row.values()
@@ -150,14 +158,15 @@ def twisted_coboundary(
 ) -> Matrix:
     """Matrix of delta_p : C^p -> C^{p+1} for the twisted complex.
 
-    Rows are (p+1)-simplices, columns are p-simplices.  Degrees outside
-    0..dim-1 give empty matrices of the right shape.  The rank and Hodge
-    pipelines read the sparse assembly directly; this densifies it.
+    Rows are (p+1)-simplices, columns are p-simplices.  Degree dim gives
+    the empty 0 x n_dim matrix; a degree below 0 or above dim raises
+    ValueError.  The rank and Hodge pipelines read the sparse assembly
+    directly; this densifies it.
     """
-    weights = LocalSystemWeights(k, theta, lam)
-    rows = _coboundary_rows(k, weights, p)
+    lam, backend, _ = _local_system(k, theta, lam)
+    rows = _coboundary_rows(k, theta, lam, p)
     cols = k.n_simplices(p)
-    ent = [Fraction(0) if weights.backend != "float" else 0j] * (len(rows) * cols)
+    ent = [Fraction(0) if backend != "float" else 0j] * (len(rows) * cols)
     for r, row in enumerate(rows):
         for c, v in row.items():
             ent[r * cols + c] = v
@@ -183,26 +192,8 @@ class Reduction:
 
 
 def _laurent_rows(k: SimplicialComplex, theta: OneCocycle, p: int, dropped):
-    """delta_p over Z[t, 1/t] without the columns in ``dropped``.
-
-    Face 0 is t**theta(v0, v1) and face i is (-1)**i, as in
-    ``_coboundary_rows``.  The leading edge (v0, v1) is increasing, so its
-    value is the stored one.
-    """
-    index = k._index[p]
-    values = theta.values
-    rows = []
-    for tau in k.simplices[p + 1] if p < k.dim else ():
-        row = {}
-        c = index[tau[1:]]
-        if c not in dropped:
-            row[c] = {values[tau[:2]]: 1}
-        for i in range(1, len(tau)):
-            c = index[tau[:i] + tau[i + 1 :]]
-            if c not in dropped:
-                row[c] = _SIGNS[i % 2]
-        rows.append(row)
-    return rows
+    """delta_p over Z[t, 1/t] without the columns in ``dropped``."""
+    return _rows(k, theta, p, lambda x: {x: 1}, _SIGNS, dropped)
 
 
 def _eliminate(rows, ncols):
@@ -372,12 +363,12 @@ def betti_profile(
     any singular value of a residual coboundary fell near the rank cut
     (float backend only).
     """
-    lam, backend, tol = _arithmetic(lam, backend=backend, tolerance=tolerance)
-    weights = LocalSystemWeights(k, theta, lam)
+    lam, backend, tol = _local_system(k, theta, lam, backend, tolerance)
     is_float = backend == "float"
     if is_float:
-        for u, v in k.edges:
-            weights.weight(u, v)  # NumericalError once a weight leaves the float range
+        weight = _weight(lam)
+        for e in k.edges:
+            weight(theta.values[e])  # NumericalError once one leaves the float range
     residual = reduce(k, theta)
     ranks = []
     ill_any = False

@@ -38,7 +38,7 @@ from .scalars import (
     rank_with_flag,
     scalar_literal,
 )
-from .twisted import LocalSystemWeights, _coboundary_rows
+from .twisted import _coboundary_rows
 
 __all__ = [
     "FiberCohomologyAction",
@@ -223,12 +223,12 @@ def induced_action(k: SimplicialComplex, phi: SimplicialMap) -> FiberCohomologyA
         raise ConstructionError("induced_action needs a self-map of k")
     if not phi.is_isomorphism():
         raise ConstructionError("induced_action needs a simplicial isomorphism")
-    weights = LocalSystemWeights(k, zero_cocycle(k), Fraction(1))
+    zero = zero_cocycle(k)
     one = Fraction(1)
     blocks = []
     bounding = []  # the columns of delta_{p-1}, which span the coboundaries
     for p in range(k.dim + 1):
-        delta = _columns(_coboundary_rows(k, weights, p), k.n_simplices(p))
+        delta = _columns(_coboundary_rows(k, zero, one, p), k.n_simplices(p))
         kernel = _reduce_columns({**col, -1 - j: one} for j, col in enumerate(delta))
         cocycles = [
             {-1 - t: v for t, v in left.items()} for left in kernel if left is not None

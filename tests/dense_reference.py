@@ -3,11 +3,13 @@
 The package keeps a dense ``Matrix`` only for the square blocks of a fiber
 action.  Products and transposes in the tests run on numpy ``dtype=object``
 arrays of the matrix entries, so Fraction and number-field arithmetic stays
-exact.  ``boundary`` is the simplicial boundary operator built straight from
-the sorted simplex tables, independent of the sparse coboundary assembly in
-``novikov.twisted``.  ``dense_route_dims`` is the full route to the twisted
-Betti numbers, the declared cross-check of ``betti_profile``: it ranks every
-coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
+exact.  ``boundary`` is the simplicial boundary operator and ``coboundary``
+the twisted coboundary, both built straight from their formulas on the
+sorted simplex tables, independent of the face rule ``novikov.twisted._rows``
+that writes every coboundary of the package; ``coboundary`` is the declared
+cross-check of that assembly.  ``dense_route_dims`` is the full route to the
+twisted Betti numbers, the declared cross-check of ``betti_profile``: it
+ranks every coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
 residual of ``novikov.twisted.reduce``.  ``complex_hodge_spectrum`` is the
 Laplacian spectrum in complex arithmetic throughout, the declared
 cross-check of ``novikov.hodge.laplacian_spectrum``, which runs in real
@@ -18,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from novikov.scalars import Matrix, _arithmetic, _exact_rank_columns, _float_rank
-from novikov.twisted import LocalSystemWeights, _coboundary_array, _coboundary_rows
+from novikov.scalars import Matrix, NumberFieldElement, _exact_rank_columns, _float_rank
+from novikov.twisted import _coboundary_array, _coboundary_rows, _local_system
 
 
 def dense(m: Matrix) -> np.ndarray:
@@ -49,6 +51,33 @@ def boundary(k, p: int) -> np.ndarray:
     return out
 
 
+def coboundary(k, theta, lam, p: int) -> np.ndarray:
+    """Twisted coboundary C^p -> C^{p+1} at lambda, entry by entry.
+
+    (delta f)(v0..v_{p+1}) = lam**theta(v0, v1) f(v1..v_{p+1})
+                             + sum_{i>=1} (-1)^i f(v0..^v_i..v_{p+1}),
+    so row tau holds lam**theta(tau0, tau1) in the column of its face 0 and
+    (-1)^i in the column of its face i.  A float lambda takes the complex
+    principal power; exact and number-field entries stay in their field.
+    p = dim gives a 0 x n array.
+    """
+    if isinstance(lam, (float, complex)):
+        lam, field = complex(lam), complex
+    elif isinstance(lam, NumberFieldElement):
+        def field(c):
+            return NumberFieldElement.constant(c, lam.minpoly)
+    else:
+        lam, field = Fraction(lam), Fraction
+    taus = k.simplices[p + 1] if p < k.dim else ()
+    out = np.full((len(taus), k.n_simplices(p)), field(0), dtype=object)
+    for r, tau in enumerate(taus):
+        x = theta.value(tau[0], tau[1])
+        out[r, k.simplex_index(tau[1:])] = lam ** (complex(x) if field is complex else x)
+        for i in range(1, len(tau)):
+            out[r, k.simplex_index(tau[:i] + tau[i + 1 :])] = field((-1) ** i)
+    return out
+
+
 def complex_hodge_spectrum(k, theta, lam, p: int, w) -> np.ndarray:
     """Degree-p weighted Laplacian spectrum from complex deltas.
 
@@ -57,8 +86,8 @@ def complex_hodge_spectrum(k, theta, lam, p: int, w) -> np.ndarray:
     ``eigvalsh``, all in complex128 whatever the entries are.  w is an
     ``InnerProduct``.
     """
-    weights = LocalSystemWeights(k, theta, _arithmetic(lam, backend="float")[0])
-    below, here = (_coboundary_array(k, weights, q) for q in (p - 1, p))
+    lam = _local_system(k, theta, lam, backend="float")[0]
+    below, here = (_coboundary_array(k, theta, lam, q) for q in (p - 1, p))
 
     def adjoint(d, q):
         return (d.conj().T * w.vector(q + 1)) / w.vector(q)[:, None]
@@ -75,12 +104,11 @@ def dense_route_dims(k, theta, lam) -> tuple:
     Exact lambda eliminates on the sparse rows of every delta_p; float
     lambda takes the singular values of the dense complex delta_p.
     """
-    lam, backend, tol = _arithmetic(lam)
-    weights = LocalSystemWeights(k, theta, lam)
+    lam, backend, tol = _local_system(k, theta, lam)
     ranks = [
-        _float_rank(_coboundary_array(k, weights, p), tol)[0]
+        _float_rank(_coboundary_array(k, theta, lam, p), tol)[0]
         if backend == "float"
-        else _exact_rank_columns(_coboundary_rows(k, weights, p))
+        else _exact_rank_columns(_coboundary_rows(k, theta, lam, p))
         for p in range(k.dim + 1)
     ]
     return tuple(

@@ -293,9 +293,9 @@ def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
     degrees = []
     assemble = twisted._coboundary_rows
 
-    def counting(k_, weights, p):
+    def counting(k_, theta_, lam, p):
         degrees.append(p)
-        return assemble(k_, weights, p)
+        return assemble(k_, theta_, lam, p)
 
     monkeypatch.setattr(twisted, "_coboundary_rows", counting)
     for p in range(k.dim + 1):
@@ -324,6 +324,23 @@ def test_laplacian_overflow_is_a_numerical_error():
         harmonic_dim(k, theta, 1e200, 0)
     with pytest.raises(NumericalError, match="float range"):
         laplacian_spectrum(k, theta, 1 + 1e308j, 0)
+
+
+def test_hodge_products_past_the_float_range_are_numerical_errors():
+    # the same finite weights: laplacian and hodge_decompose check their own
+    # products, and warn about none of them
+    k, theta = load_complex(FIXTURES / "torus2.json")
+    # valid inner-product weights whose ratio 1e600 is past the float range
+    steep = InnerProduct(k, {0: [1e-300] * k.n_simplices(0), 1: [1e300] * k.n_simplices(1)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in range(k.dim + 1):
+            with pytest.raises(NumericalError, match="Laplacian leaves the float range"):
+                laplacian(k, theta, 1e200, p)
+            with pytest.raises(NumericalError, match="decomposition leaves the float range"):
+                hodge_decompose(k, theta, 1e200, p, np.ones(k.n_simplices(p)))
+        with pytest.raises(NumericalError, match="adjoint leaves the float range"):
+            adjoint(k, theta, 2.0, 0, steep)
 
 
 def real_path_case(shape, seed):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import boundary, dense, dense_route_dims
+from dense_reference import boundary, coboundary, dense, dense_route_dims
 from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform, zero_cocycle
 from novikov.complexes import SimplicialComplex, circle, sphere_boundary
 from novikov.constructions import (
@@ -23,10 +23,10 @@ from novikov.scalars import Matrix, NumberFieldElement, parse_scalar
 from novikov.serialization import load_complex
 from novikov.twisted import (
     BettiProfile,
-    LocalSystemWeights,
     _coboundary_rows,
     _eliminate,
     _laurent_rows,
+    _local_system,
     betti_profile,
     duality_check,
     kunneth_check,
@@ -233,7 +233,7 @@ def test_sphere_profile_and_h0():
 def test_weights_and_validation_errors():
     k, theta = circle_theta(3)
     with pytest.raises(ValueError):
-        LocalSystemWeights(k, theta, Fraction(0))
+        twisted_coboundary(k, theta, Fraction(0), 0)
     assert betti_profile(k, theta, Fraction(2), backend="exact").backend == "exact"
     with pytest.raises(BackendMismatchError):
         betti_profile(k, theta, 2.0, backend="exact")
@@ -294,9 +294,9 @@ def test_exact_assembly_entries_are_field_elements():
         (0.625, complex),
     )
     for lam, kind in cases:
-        weights = LocalSystemWeights(k, theta, lam)
+        lam = _local_system(k, theta, lam)[0]
         for p in range(k.dim + 1):
-            rows = _coboundary_rows(k, weights, p)
+            rows = _coboundary_rows(k, theta, lam, p)
             assert len(rows) == k.n_simplices(p + 1)
             for row in rows:
                 assert len(row) == p + 2
@@ -370,6 +370,40 @@ def test_sparse_profile_matches_dense_route(shape, m, sheets, winding, seed, lam
         # a real cocycle needs a float lambda
         theta = harmonic_representative(k, theta)
     assert betti_profile(k, theta, lam).dims == dense_route_dims(k, theta, lam)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(("random", "cover", *GLUINGS)),
+    sheets=st.integers(2, 3),
+    seed=st.integers(0, 2**16),
+    lam=st.sampled_from((Fraction(2), Fraction(-7, 9), NF_LAMBDA, 0.625, -1.0 + 0.5j)),
+    harmonic=st.booleans(),
+)
+# every shape, every kind of lambda and the real cocycle at both float lambdas
+@example(shape="random", sheets=2, seed=1, lam=NF_LAMBDA, harmonic=False)
+@example(shape="cover", sheets=3, seed=2, lam=Fraction(-7, 9), harmonic=False)
+@example(shape="identity", sheets=2, seed=3, lam=0.625, harmonic=True)
+@example(shape="flip", sheets=2, seed=4, lam=-1.0 + 0.5j, harmonic=True)
+@example(shape="swap", sheets=2, seed=5, lam=Fraction(2), harmonic=False)
+@example(shape="order six", sheets=2, seed=6, lam=NF_LAMBDA, harmonic=False)
+def test_coboundary_matches_its_formula(shape, sheets, seed, lam, harmonic):
+    k, theta = cross_check_case(shape, 3, sheets, 1, seed)
+    if lam == NF_LAMBDA:
+        lam = parse_scalar(lam)
+    elif harmonic and isinstance(lam, (float, complex)):
+        theta = harmonic_representative(k, theta)
+    for p in range(k.dim + 1):
+        got = dense(twisted_coboundary(k, theta, lam, p))
+        want = coboundary(k, theta, lam, p)
+        assert got.shape == want.shape == (k.n_simplices(p + 1), k.n_simplices(p))
+        assert list(map(type, got.flat)) == list(map(type, want.flat))
+        assert (got == want).all()
+        if isinstance(lam, (float, complex)):  # signed zeros too
+            assert got.astype(complex).tobytes() == want.astype(complex).tobytes()
+    for p in (-1, k.dim + 1):
+        with pytest.raises(ValueError):
+            twisted_coboundary(k, theta, lam, p)
 
 
 def test_reduce_shrinks_torus3_and_its_covers_to_their_cohomology():
