@@ -5,14 +5,15 @@ the reversed edge negates the value.  Exact mode keeps integer values so
 that monodromy weights lambda**theta(e) stay inside the scalar field;
 float mode allows real values.  Closedness means the signed sum over every
 triangle vanishes: exactly in exact mode, to within CLOSEDNESS_TOLERANCE in
-float mode.
+float mode.  Exactness is one spanning-forest walk in both modes: it means
+every fundamental-cycle holonomy vanishes, exactly in exact mode and to
+within EXACTNESS_RESIDUAL (relative to max |theta|) in float mode.  The
+module is pure combinatorics; it builds no matrix.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .complexes import SimplicialComplex
 from .errors import IncompleteCocycleError, InvalidLoopError
@@ -138,12 +139,10 @@ def validate_closed(k: SimplicialComplex, theta: OneCocycle) -> bool:
     _require_cover(k, theta)
     if k.dim < 2:
         return True
+    bound = 0 if theta.mode == "exact" else CLOSEDNESS_TOLERANCE
     for (a, b, c) in k.simplices[2]:
         residual = theta.value(a, b) + theta.value(b, c) - theta.value(a, c)
-        if theta.mode == "exact":
-            if residual != 0:
-                return False
-        elif abs(residual) > CLOSEDNESS_TOLERANCE:
+        if abs(residual) > bound:
             return False
     return True
 
@@ -172,10 +171,13 @@ def holonomy(k: SimplicialComplex, theta: OneCocycle, loop):
 def is_exact(k: SimplicialComplex, theta: OneCocycle):
     """A potential f with delta f = theta, or None.
 
-    Exact mode walks a spanning forest and verifies every edge exactly.
-    Float mode solves the weighted least squares system and accepts when
-    the residual stays below EXACTNESS_RESIDUAL.  The potential is pinned
-    to 0 at the least vertex of each connected component.
+    One walk in both modes: f is pinned to 0 at the least vertex of each
+    connected component and read off along a spanning forest, then every
+    edge is checked.  On a non-tree edge the residual
+    f(v) - f(u) - theta(u, v) is the holonomy of its fundamental cycle, so
+    theta is accepted when every such holonomy vanishes: exactly in exact
+    mode, to within EXACTNESS_RESIDUAL * max(1, max |theta|) in float mode,
+    however finely a loop is triangulated.
     """
     _require_cover(k, theta)
     n = k.vertex_count
@@ -183,58 +185,26 @@ def is_exact(k: SimplicialComplex, theta: OneCocycle):
     for (u, v) in k.edges:
         adj[u].append(v)
         adj[v].append(u)
-
-    if theta.mode == "exact":
-        f: dict[int, int] = {}
-        for root in range(n):
-            if root in f:
-                continue
-            f[root] = 0
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in f:
-                        f[v] = f[u] + theta.value(u, v)
-                        stack.append(v)
-        for (u, v) in k.edges:
-            if f[v] - f[u] != theta.value(u, v):
-                return None
-        return ZeroCochain(f, mode="exact")
-
-    edges = list(k.edges)
-    if edges:
-        a = np.zeros((len(edges), n))
-        b = np.zeros(len(edges))
-        for i, (u, v) in enumerate(edges):
-            a[i, v] = 1.0
-            a[i, u] = -1.0
-            b[i] = theta.value(u, v)
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        scale = max(1.0, float(np.max(np.abs(b))))
-        if float(np.max(np.abs(a @ sol - b))) > EXACTNESS_RESIDUAL * scale:
-            return None
-    else:
-        sol = np.zeros(n)
-    # pin each component at its least vertex
-    comp: dict[int, int] = {}
+    exact = theta.mode == "exact"
+    f = {}
     for root in range(n):
-        if root in comp:
+        if root in f:
             continue
-        members = [root]
-        comp[root] = root
+        f[root] = 0 if exact else 0.0
         stack = [root]
         while stack:
             u = stack.pop()
             for v in adj[u]:
-                if v not in comp:
-                    comp[v] = root
-                    members.append(v)
+                if v not in f:
+                    f[v] = f[u] + theta.value(u, v)
                     stack.append(v)
-        offset = sol[root]
-        for v in members:
-            sol[v] -= offset
-    return ZeroCochain({v: float(sol[v]) for v in range(n)}, mode="float")
+    bound = 0 if exact else EXACTNESS_RESIDUAL * max(
+        [1.0] + [abs(theta.values[e]) for e in k.edges]
+    )
+    for (u, v) in k.edges:
+        if abs(f[v] - f[u] - theta.value(u, v)) > bound:
+            return None
+    return ZeroCochain(f, mode=theta.mode)
 
 
 def coboundary_of(f: ZeroCochain, k: SimplicialComplex) -> OneCocycle:

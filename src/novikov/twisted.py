@@ -163,10 +163,11 @@ def twisted_coboundary(
     ValueError.  The rank and Hodge pipelines read the sparse assembly
     directly; this densifies it.
     """
-    lam, backend, _ = _local_system(k, theta, lam)
+    lam, _, _ = _local_system(k, theta, lam)
     rows = _coboundary_rows(k, theta, lam, p)
     cols = k.n_simplices(p)
-    ent = [Fraction(0) if backend != "float" else 0j] * (len(rows) * cols)
+    # the field's own zero, shared by every empty cell
+    ent = [0 * _weight(lam)(0)] * (len(rows) * cols)
     for r, row in enumerate(rows):
         for c, v in row.items():
             ent[r * cols + c] = v
@@ -395,25 +396,20 @@ def betti_profile(
     )
 
 
-def duality_check(
-    k: SimplicialComplex,
-    theta: OneCocycle,
-    lam,
-    tolerance: float | None = None,
-) -> bool:
+def duality_check(k: SimplicialComplex, theta: OneCocycle, lam) -> bool:
     """Whether dims(lambda)[p] == dims(1/lambda)[n-p] for all p.
 
     This is the Poincare duality pattern for closed orientable manifolds;
     on non-manifold complexes it can legitimately fail, so the result is
     reported rather than asserted.
     """
-    return _duality(k, theta, lam, tolerance)[0]
+    return _duality(k, theta, lam)[0]
 
 
-def _duality(k, theta, lam, tolerance=None):
+def _duality(k, theta, lam):
     """(holds, dims at lambda, reversed dims at 1/lambda) for duality_check."""
-    dims = betti_profile(k, theta, lam, tolerance=tolerance).dims
-    reversed_dual = betti_profile(k, theta, 1 / lam, tolerance=tolerance).dims[::-1]
+    dims = betti_profile(k, theta, lam).dims
+    reversed_dual = betti_profile(k, theta, 1 / lam).dims[::-1]
     return dims == reversed_dual, dims, reversed_dual
 
 

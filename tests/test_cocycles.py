@@ -3,6 +3,7 @@ import random
 import pytest
 
 from novikov.complexes import SimplicialComplex, circle, sphere_boundary
+from novikov.constructions import product, torus_grid
 from novikov.cocycles import (
     OneCocycle,
     ZeroCochain,
@@ -162,7 +163,15 @@ def test_is_exact_matches_cycle_holonomies_random():
             if holonomy(k, theta, pu + pv[::-1]) != 0:
                 flat = False
                 break
-        assert (is_exact(k, theta) is not None) == flat
+        g = is_exact(k, theta)
+        assert (g is not None) == flat
+        # the same integers as floats: the same verdict and potential
+        g_float = is_exact(
+            k, OneCocycle({e: float(x) for e, x in theta.values.items()}, mode="float")
+        )
+        assert (g_float is not None) == flat
+        if g is not None:
+            assert g_float.values == {v: float(x) for v, x in g.values.items()}
 
 
 def test_is_exact_float_mode():
@@ -176,3 +185,38 @@ def test_is_exact_float_mode():
         {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): -1.0}, mode="float"
     )
     assert is_exact(k, t_hol) is None
+
+
+def _spread_holonomy(m, hol):
+    # hol spread evenly over the m steps 0 -> 1 -> ... -> m-1 -> 0
+    step = hol / m
+    values = {(i, i + 1): step for i in range(m - 1)}
+    values[(0, m - 1)] = -step
+    return OneCocycle(values, mode="float")
+
+
+@pytest.mark.parametrize(
+    "m, hol, exact",
+    [(1000, 5e-8, False), (10, 2e-9, False), (1000, 5e-10, True), (10, 5e-10, True)],
+)
+def test_is_exact_float_bounds_each_holonomy(m, hol, exact):
+    # the verdict reads the holonomy of the loop, not a residual spread over
+    # its edges, so a finer triangulation does not hide it
+    assert (is_exact(circle(m), _spread_holonomy(m, hol)) is not None) == exact
+
+
+@pytest.mark.parametrize(
+    "k",
+    [torus_grid(3), product(torus_grid(3), circle(3)).complex],
+    ids=["torus3", "torus3xcircle3"],
+)
+def test_is_exact_float_recovers_seeded_potential(k):
+    rng = random.Random(7)
+    for _ in range(5):
+        f = ZeroCochain(
+            {v: rng.uniform(-30, 30) for v in range(k.vertex_count)}, mode="float"
+        )
+        g = is_exact(k, coboundary_of(f, k))
+        assert g is not None
+        for v in range(k.vertex_count):
+            assert abs(g.value(v) - (f.value(v) - f.value(0))) <= 1e-12
