@@ -52,7 +52,6 @@ from .errors import (
     IncompleteCocycleError,
     InvalidLoopError,
     InvalidMapError,
-    NormalizationError,
     NovikovError,
     NumericalError,
     ReducibilityError,
@@ -66,9 +65,7 @@ from .hodge import (
     hodge_decompose,
     laplacian,
     laplacian_spectrum,
-    novikov_normalize,
     spectral_gap,
-    volume,
 )
 from .scalars import (
     Matrix,
@@ -82,13 +79,11 @@ from .serialization import (
     complex_to_json,
     load_action,
     load_complex,
-    save_action,
     save_complex,
 )
 from .twisted import (
     BettiProfile,
     betti_profile,
-    duality_check,
     kunneth_check,
     twisted_coboundary,
 )
@@ -111,7 +106,6 @@ __all__ = [
     "MappingTorus",
     "Matrix",
     "MinimalPolynomial",
-    "NormalizationError",
     "NovikovError",
     "NumberFieldElement",
     "NumericalError",
@@ -135,7 +129,6 @@ __all__ = [
     "complex_from_json",
     "complex_to_json",
     "cyclic_cover",
-    "duality_check",
     "euler_characteristic",
     "gauge_transform",
     "harmonic_dim",
@@ -150,13 +143,11 @@ __all__ = [
     "load_action",
     "load_complex",
     "mapping_torus",
-    "novikov_normalize",
     "parse_scalar",
     "path_complex",
     "point",
     "product",
     "run_suite",
-    "save_action",
     "save_complex",
     "scalar_literal",
     "small_b_limit",
@@ -166,7 +157,6 @@ __all__ = [
     "torus_grid_map",
     "twisted_coboundary",
     "validate_closed",
-    "volume",
     "wallis",
     "wang_dims",
     "zero_cocycle",

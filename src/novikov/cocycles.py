@@ -4,8 +4,9 @@ A OneCocycle stores one value per increasing edge (u, v), u < v; reading
 the reversed edge negates the value.  Exact mode keeps integer values so
 that monodromy weights lambda**theta(e) stay inside the scalar field;
 float mode allows real values.  Closedness means the signed sum over every
-triangle vanishes: exactly in exact mode, to within CLOSEDNESS_TOLERANCE in
-float mode.  Exactness is one spanning-forest walk in both modes: it means
+triangle vanishes: exactly in exact mode, and in float mode to within
+CLOSEDNESS_TOLERANCE or the rounding of the triangle sum, whichever is
+larger.  Exactness is one spanning-forest walk in both modes: it means
 every fundamental-cycle holonomy vanishes, exactly in exact mode and to
 within EXACTNESS_RESIDUAL (relative to max |theta|) in float mode.  The
 module is pure combinatorics; it builds no matrix.
@@ -14,6 +15,7 @@ module is pure combinatorics; it builds no matrix.
 from __future__ import annotations
 
 import math
+import sys
 
 from .complexes import SimplicialComplex
 from .errors import IncompleteCocycleError, InvalidLoopError
@@ -33,6 +35,8 @@ __all__ = [
 
 CLOSEDNESS_TOLERANCE = 1e-12
 EXACTNESS_RESIDUAL = 1e-9
+# four units of rounding per unit of |x| + |y| + |z| in a float triangle sum
+_ROUNDING = 4 * sys.float_info.epsilon
 
 
 def _check_mode_value(value, mode):
@@ -78,9 +82,6 @@ class OneCocycle:
         except KeyError:
             raise IncompleteCocycleError(f"no cocycle value on edge {key}") from None
         return raw if u < v else -raw
-
-    def edges(self):
-        return sorted(self.values)
 
     def __eq__(self, other):
         return (
@@ -132,17 +133,25 @@ def _require_cover(k: SimplicialComplex, theta: OneCocycle):
 def validate_closed(k: SimplicialComplex, theta: OneCocycle) -> bool:
     """True when the signed sum over every 2-simplex vanishes.
 
-    Exact mode demands exact zero; float mode allows
-    |residual| <= CLOSEDNESS_TOLERANCE.
+    Exact mode demands exact zero.  Float mode allows a triangle residual
+    up to max(CLOSEDNESS_TOLERANCE, 4 eps (|x| + |y| + |z|)) for its edge
+    values x, y, z: the rounding of the triangle sum itself, so that the
+    coboundary of a large float potential is closed.
     Raises IncompleteCocycleError when edge values are missing.
     """
     _require_cover(k, theta)
     if k.dim < 2:
         return True
-    bound = 0 if theta.mode == "exact" else CLOSEDNESS_TOLERANCE
+    value = theta.value
+    if theta.mode == "exact":
+        for (a, b, c) in k.simplices[2]:
+            if value(a, b) + value(b, c) - value(a, c):
+                return False
+        return True
     for (a, b, c) in k.simplices[2]:
-        residual = theta.value(a, b) + theta.value(b, c) - theta.value(a, c)
-        if abs(residual) > bound:
+        x, y, z = value(a, b), value(b, c), value(a, c)
+        bound = max(CLOSEDNESS_TOLERANCE, _ROUNDING * (abs(x) + abs(y) + abs(z)))
+        if abs(x + y - z) > bound:
             return False
     return True
 

@@ -128,9 +128,6 @@ class SimplicialComplex:
             out.extend(s for s in level if s not in facets)
         return out
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * c for p, c in enumerate(self.counts()))
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
@@ -146,7 +143,7 @@ class SimplicialComplex:
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:
-    return k.euler_characteristic()
+    return sum((-1) ** p * c for p, c in enumerate(k.counts()))
 
 
 def circle(m: int) -> SimplicialComplex:

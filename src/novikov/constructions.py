@@ -177,9 +177,6 @@ class MappingTorus:
     def __setattr__(self, *a):
         raise AttributeError("MappingTorus is immutable")
 
-    def vertex_id(self, v: int, layer: int) -> int:
-        return v * self.layers + layer % self.layers
-
 
 def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) -> MappingTorus:
     """Mapping torus of a simplicial automorphism.

@@ -43,7 +43,3 @@ class ConstructionError(NovikovError):
 
 class NumericalError(NovikovError):
     """A floating-point computation failed to converge or lost too much accuracy."""
-
-
-class NormalizationError(NovikovError):
-    """Normalization of a (near-)zero harmonic representative was requested."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, zero_cocycle
-from .errors import NormalizationError, NumericalError
+from .errors import NumericalError
 from .twisted import _coboundary_array, _local_system
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "HodgeParts",
     "hodge_decompose",
     "harmonic_representative",
-    "volume",
-    "novikov_normalize",
 ]
 
 DEFAULT_HARMONIC_THRESHOLD = 1e-8
@@ -310,36 +308,3 @@ def harmonic_representative(
     return OneCocycle(
         {e: float(rep[i]) for i, e in enumerate(edges)}, mode="float"
     )
-
-
-def _is_pure(k: SimplicialComplex) -> bool:
-    return all(len(s) - 1 == k.dim for s in k.maximal_simplices())
-
-
-def volume(k: SimplicialComplex, weights=None):
-    """Total weight and the convention that produced it.
-
-    A smooth volume has no canonical discrete stand-in; this takes the
-    weight of the top-dimensional simplices when the complex is pure and
-    falls back to total vertex weight otherwise.  The convention string is
-    part of the return value so reports can carry it.
-    """
-    w = _resolve(k, weights)
-    if k.dim >= 1 and _is_pure(k):
-        return float(w.vector(k.dim).sum()), "top-simplex weight"
-    return float(w.vector(0).sum()), "vertex weight"
-
-
-def novikov_normalize(k: SimplicialComplex, theta_h: OneCocycle, weights=None) -> float:
-    """Scale t with ||t theta_h||^2 = volume in the weighted metric.
-
-    Doubling theta_h halves t; a representative whose weighted square norm
-    already equals the volume gets t = 1.
-    """
-    w = _resolve(k, weights)
-    vec = np.asarray([float(theta_h.value(u, v)) for (u, v) in k.edges])
-    norm_sq = float(np.dot(w.vector(1), vec * vec))
-    if norm_sq == 0:
-        raise NormalizationError("cannot normalize the zero cocycle")
-    vol, _ = volume(k, w)
-    return float(np.sqrt(vol / norm_sq))

@@ -29,7 +29,6 @@ from .errors import BackendMismatchError, NumericalError, ReducibilityError
 __all__ = [
     "MinimalPolynomial",
     "NumberFieldElement",
-    "nf_inverse",
     "Matrix",
     "rank_with_flag",
     "parse_scalar",
@@ -92,16 +91,14 @@ def _pdivmod(a, b):
 
 
 def _pxgcd(a, b):
-    """Extended gcd in Q[x]: returns (g, s, t) with s*a + t*b = g."""
+    """Half-extended gcd in Q[x]: returns (g, s) with s*a = g modulo b."""
     r0, r1 = _ptrim(a), _ptrim(b)
     s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
     while r1:
         q, r = _pdivmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    return r0, s0, t0
+    return r0, s0
 
 
 _TERM_RE = re.compile(
@@ -281,7 +278,7 @@ class NumberFieldElement:
         a = _ptrim(list(self.coeffs))
         if not a:
             raise ZeroDivisionError("inverse of zero number field element")
-        g, s, _ = _pxgcd(a, list(self.minpoly.coeffs))
+        g, s = _pxgcd(a, list(self.minpoly.coeffs))
         if len(g) - 1 > 0:
             # gcd of degree >= 1 certifies the modulus factors
             lead = g[-1]
@@ -337,11 +334,6 @@ class NumberFieldElement:
 
     def __repr__(self):
         return f"<{self} mod {self.minpoly}>"
-
-
-def nf_inverse(a: NumberFieldElement) -> NumberFieldElement:
-    """Field inverse in Q[x]/(m) via extended Euclid."""
-    return a.inverse()
 
 
 # ---------------------------------------------------------------------------

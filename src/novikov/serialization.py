@@ -36,7 +36,6 @@ __all__ = [
     "load_complex",
     "action_to_json",
     "action_from_json",
-    "save_action",
     "load_action",
     "weights_from_json",
     "load_weights",
@@ -173,12 +172,6 @@ def action_from_json(payload: dict) -> FiberCohomologyAction:
             [parse_scalar(str(e)) for e in row] for row in _lists(rows, f"block {key!r}")
         ]
     return FiberCohomologyAction.from_blocks(blocks)
-
-
-def save_action(path, action: FiberCohomologyAction) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(action_to_json(action), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_action(path) -> FiberCohomologyAction:

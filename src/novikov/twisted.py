@@ -55,7 +55,6 @@ __all__ = [
     "reduce",
     "BettiProfile",
     "betti_profile",
-    "duality_check",
     "kunneth_check",
 ]
 
@@ -304,25 +303,31 @@ def _float_array(rows, ncols, lam):
     """Residual rows at a float lambda, as a dense complex array.
 
     Each row is first divided by a monomial lam**shift, with shift its
-    largest exponent when |lambda| >= 1 and its smallest otherwise, so that
-    no power exceeds 1 in magnitude and none can overflow.  Scaling a row
-    leaves the rank alone.  A scaled row holds a term of magnitude 1 before
-    any cancellation, so ``betti_profile`` ranks these arrays against an
+    largest exponent when |lambda| >= 1 and its smallest otherwise; then
+    each column is divided by its own extreme monomial of what is left, so
+    that no power exceeds 1 in magnitude and none can overflow.  Scaling a
+    row or a column leaves the rank alone, and the column pass keeps a
+    column that no row leads from shrinking below the rank cut.  Every
+    scaled row and column holds a term of magnitude 1 before any
+    cancellation, so ``betti_profile`` ranks these arrays against an
     absolute scale of 1, as the full delta_p with its +-1 entries would be:
     a real theta that closes only up to rounding leaves t**x - t**(x + eps)
     where the exact residual has a zero, and that noise must not set the
     rank cut.
     """
     lam = complex(lam)
-    big = abs(lam) >= 1
-    a = np.zeros((len(rows), ncols), dtype=complex)
-    for r, row in enumerate(rows):
-        if not row:
-            continue
-        exps = [x for ent in row.values() for x in ent]
-        shift = max(exps) if big else min(exps)
+    pick = max if abs(lam) >= 1 else min
+    shifts = [pick(x for ent in row.values() for x in ent) if row else 0 for row in rows]
+    columns = {}
+    for row, shift in zip(rows, shifts):
         for c, ent in row.items():
-            a[r, c] = sum(y * _power(lam, x - shift) for x, y in ent.items())
+            x = pick(ent) - shift
+            columns[c] = pick(columns[c], x) if c in columns else x
+    a = np.zeros((len(rows), ncols), dtype=complex)
+    for r, (row, shift) in enumerate(zip(rows, shifts)):
+        for c, ent in row.items():
+            s = shift + columns[c]
+            a[r, c] = sum(y * _power(lam, x - s) for x, y in ent.items())
     return a
 
 
@@ -394,23 +399,6 @@ def betti_profile(
         tolerance=tol,
         ill_conditioned=ill_any,
     )
-
-
-def duality_check(k: SimplicialComplex, theta: OneCocycle, lam) -> bool:
-    """Whether dims(lambda)[p] == dims(1/lambda)[n-p] for all p.
-
-    This is the Poincare duality pattern for closed orientable manifolds;
-    on non-manifold complexes it can legitimately fail, so the result is
-    reported rather than asserted.
-    """
-    return _duality(k, theta, lam)[0]
-
-
-def _duality(k, theta, lam):
-    """(holds, dims at lambda, reversed dims at 1/lambda) for duality_check."""
-    dims = betti_profile(k, theta, lam).dims
-    reversed_dual = betti_profile(k, theta, 1 / lam).dims[::-1]
-    return dims == reversed_dual, dims, reversed_dual
 
 
 def kunneth_check(

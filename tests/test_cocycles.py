@@ -61,6 +61,16 @@ def test_validate_closed_float_tolerance():
     assert validate_closed(k, t)
     t2 = OneCocycle({(0, 1): 0.25, (1, 2): 0.5, (0, 2): 0.80}, mode="float")
     assert not validate_closed(k, t2)
+    # the coboundary of a large potential closes up to the rounding of each
+    # triangle sum, which exceeds CLOSEDNESS_TOLERANCE here
+    grid = torus_grid(3)
+    for seed in range(20):
+        rng = random.Random(seed)
+        f = {v: rng.uniform(-1e4, 1e4) for v in range(grid.vertex_count)}
+        assert validate_closed(grid, coboundary_of(ZeroCochain(f, mode="float"), grid))
+    # a residual of 1e-9 at the 1e4 scale is not rounding
+    t3 = OneCocycle({(0, 1): 1e4, (1, 2): 1e4, (0, 2): 2e4 + 1e-9}, mode="float")
+    assert not validate_closed(k, t3)
 
 
 def test_holonomy_examples():

@@ -13,9 +13,9 @@ from novikov.cocycles import (
     holonomy,
     zero_cocycle,
 )
-from novikov.complexes import SimplicialComplex, circle, point, sphere_boundary
+from novikov.complexes import circle, point
 from novikov.constructions import cyclic_cover, product, torus_grid
-from novikov.errors import BackendMismatchError, NormalizationError, NumericalError
+from novikov.errors import BackendMismatchError, NumericalError
 from novikov import hodge
 from novikov.hodge import (
     DEFAULT_HARMONIC_THRESHOLD,
@@ -26,9 +26,7 @@ from novikov.hodge import (
     hodge_decompose,
     laplacian,
     laplacian_spectrum,
-    novikov_normalize,
     spectral_gap,
-    volume,
 )
 from novikov import twisted
 from novikov.scalars import parse_scalar
@@ -238,31 +236,6 @@ def test_harmonic_representative_weighted_torus():
     vec = np.array([rep.value(u, v) for (u, v) in k.edges])
     div = adjoint(k, theta, 1.0, 0, w) @ vec
     assert np.abs(div).max() < 1e-9
-
-
-def test_volume_conventions():
-    val, conv = volume(circle(3))
-    assert (val, conv) == (3.0, "top-simplex weight")
-    val, conv = volume(sphere_boundary(2))
-    assert (val, conv) == (4.0, "top-simplex weight")
-    mixed = SimplicialComplex.build([[0, 1, 2], [2, 3]])
-    val, conv = volume(mixed)
-    assert (val, conv) == (4.0, "vertex weight")
-    val, conv = volume(point())
-    assert (val, conv) == (1.0, "vertex weight")
-
-
-def test_novikov_normalize():
-    c, ct = circle(3), winding_theta(3)
-    rep = harmonic_representative(c, ct)
-    t = novikov_normalize(c, rep)
-    assert abs(t - 3.0) < 1e-9
-    doubled = OneCocycle({e: 2 * rep.value(*e) for e in c.edges}, mode="float")
-    assert abs(novikov_normalize(c, doubled) - 1.5) < 1e-9
-    ones = OneCocycle({e: 1 for e in c.edges})
-    assert abs(novikov_normalize(c, ones) - 1.0) < 1e-12
-    with pytest.raises(NormalizationError):
-        novikov_normalize(c, OneCocycle({e: 0 for e in c.edges}))
 
 
 def test_inner_product_validation():

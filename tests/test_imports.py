@@ -1,12 +1,17 @@
-"""Every name a module of the package imports is used there.
+"""Every name a module of the package imports is used there, and every
+name it exports exists.
 
 A standard-library stand-in for pyflakes' unused-import check: an imported
 name counts as used when it appears as a name anywhere in the module (an
-attribute's root included) or is listed in the module's ``__all__``.
+attribute's root included) or is listed in the module's ``__all__``.  The
+``__all__`` checks catch a deleted name left behind in an export list.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import novikov
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "novikov"
 
@@ -49,3 +54,28 @@ def test_package_has_no_unused_imports():
     assert modules
     found = {path.name: unused_imports(path.read_text()) for path in modules}
     assert not {name: names for name, names in found.items() if names}
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path in sorted(SOURCE.glob("*.py")):
+        name = "novikov" if path.stem == "__init__" else f"novikov.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [
+            f"{name}.{entry}"
+            for entry in getattr(module, "__all__", ())
+            if not hasattr(module, entry)
+        ]
+    assert not missing
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(novikov.__all__) == imported
+    assert len(novikov.__all__) == len(imported)
