@@ -142,14 +142,15 @@ def validate_closed(k: SimplicialComplex, theta: OneCocycle) -> bool:
     _require_cover(k, theta)
     if k.dim < 2:
         return True
-    value = theta.value
+    # triangles are sorted, so their three edges are stored keys
+    values = theta.values
     if theta.mode == "exact":
         for (a, b, c) in k.simplices[2]:
-            if value(a, b) + value(b, c) - value(a, c):
+            if values[a, b] + values[b, c] - values[a, c]:
                 return False
         return True
     for (a, b, c) in k.simplices[2]:
-        x, y, z = value(a, b), value(b, c), value(a, c)
+        x, y, z = values[a, b], values[b, c], values[a, c]
         bound = max(CLOSEDNESS_TOLERANCE, _ROUNDING * (abs(x) + abs(y) + abs(z)))
         if abs(x + y - z) > bound:
             return False

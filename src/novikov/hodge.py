@@ -13,25 +13,36 @@ backends have no square roots or conjugation, so lambda is coerced to a
 float up front by the backend decision of ``scalars``, which refuses a
 number-field lambda and raises NumericalError past the float range.
 
+The spectrum never forms Lap_p.  With the scaled coboundaries
+A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, the matrix W_p^{1/2} Lap_p W_p^{-1/2}
+is A_p^H A_p + A_{p-1} A_{p-1}^H, and delta_p delta_{p-1} = 0 makes the two
+terms' ranges orthogonal.  So ``laplacian_spectrum`` takes the nonzero
+eigenvalues of two Gram matrices, each formed on the smaller side of its A
+(A^H A or A A^H), and pads them with zeros (Eckmann, 1944; Horak-Jost,
+Adv. Math. 2013).  ``laplacian`` keeps the full matrix for its callers.
+
 When every coboundary entry has an exactly zero imaginary part, as for a
-positive lambda, the coboundaries are float64 and so are ``adjoint`` and
-``laplacian``: the products and the eigensolver run in real arithmetic at
-about half the cost of complex Hermitian ones.  The decision reads the
-assembled entries, not the sign of lambda or the kind of theta: the complex
-power leaves an imaginary part at a negative lambda once the exponent is
-large (complex(-2.0) ** complex(101) has imaginary part 2.2e16), and an
-entry test keeps the real parts bit for bit either way.  An adjoint,
-Laplacian or Hodge decomposition whose products leave the float range
-raises NumericalError.
+positive lambda, the coboundaries are float64 and so are ``adjoint``,
+``laplacian`` and the Gram matrices: the products and the eigensolver run in
+real arithmetic at about half the cost of complex Hermitian ones.  The
+decision reads the assembled entries before any array is allocated, not the
+sign of lambda or the kind of theta: the complex power leaves an imaginary
+part at a negative lambda once the exponent is large (complex(-2.0) **
+complex(101) has imaginary part 2.2e16), and an entry test keeps the real
+parts bit for bit either way.  An adjoint, Laplacian, Gram matrix or Hodge
+decomposition whose products leave the float range raises NumericalError.
 
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
 natural but misclassify near-kernels: a coboundary within eps of a singular
 matrix has a Laplacian eigenvalue of order eps^2, which slips under any
 linear cut long before the matrix is actually singular.  The user threshold
-is floored at the eigensolver noise level sqrt(n * machine_eps) so that true
-zeros, which come back from the solver perturbed by about n * eps * eig_max,
-are never dropped by an overly tight request.
+is floored at the noise level sqrt(n * machine_eps) so that true zeros are
+never dropped by an overly tight request.  A true zero comes back either as
+a padded exact zero or as a zero eigenvalue of a Gram piece, which forming
+the product and solving perturb by about m * eps * ||A||^2; the piece's side
+m is at most n and ||A||^2 at most eig_max, so that is n * eps * eig_max at
+worst.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ import numpy as np
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, zero_cocycle
 from .errors import NumericalError
-from .twisted import _coboundary_array, _local_system
+from . import twisted
 
 __all__ = [
     "DEFAULT_HARMONIC_THRESHOLD",
@@ -113,14 +124,25 @@ def _resolve(k, weights) -> InnerProduct:
 def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
     """Float coboundaries in the given degrees, each assembled once.
 
-    They come back as float64 when no entry has a nonzero imaginary part,
-    complex otherwise.
+    The assembled entries are read before any array is allocated: the arrays
+    are float64 when no entry has a nonzero imaginary part, complex
+    otherwise.  Outside degrees 0..dim delta is the zero map.
     """
-    lam = _local_system(k, theta, lam, backend="float")[0]
-    deltas = [_coboundary_array(k, theta, lam, p) for p in degrees]
-    if any(d.imag.any() for d in deltas):
-        return deltas
-    return [d.real for d in deltas]
+    lam = twisted._local_system(k, theta, lam, backend="float")[0]
+    assembled = []
+    for p in degrees:
+        # read through the module at call time: the one assembly in twisted
+        rows = twisted._coboundary_rows(k, theta, lam, p) if 0 <= p <= k.dim else []
+        at = [r for r, row in enumerate(rows) for _ in row], [c for row in rows for c in row]
+        vals = np.array([v for row in rows for v in row.values()], dtype=complex)
+        assembled.append((p, at, vals))
+    real = not any(vals.imag.any() for _, _, vals in assembled)
+    deltas = []
+    for p, at, vals in assembled:
+        d = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=float if real else complex)
+        d[at] = vals.real if real else vals
+        deltas.append(d)
+    return deltas
 
 
 def _adjoint_of(d: np.ndarray, w: InnerProduct, p: int) -> np.ndarray:
@@ -160,22 +182,32 @@ def laplacian(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None
 def laplacian_spectrum(
     k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None
 ) -> np.ndarray:
-    """Ascending real eigenvalues of the degree-p twisted Laplacian."""
+    """Ascending real eigenvalues of the degree-p twisted Laplacian.
+
+    The n_p largest of the Gram pieces' eigenvalues and n_p zeros (see the
+    module docstring).  Anything below them is a zero in exact arithmetic,
+    since rank A_p + rank A_{p-1} <= n_p.
+    """
     w = _resolve(k, weights)
     n = k.n_simplices(p)
     if n == 0:
         return np.zeros(0)
-    lap = laplacian(k, theta, lam, p, w)
-    root = np.sqrt(w.vector(p))
-    # W^{1/2} Lap W^{-1/2} is Hermitian PSD with the same spectrum
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = (root[:, None] * lap) / root
-        sym = (sym + sym.conj().T) / 2
-    _require_finite(f"degree {p} Laplacian", sym)
-    try:
-        return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue solve failed in degree {p}: {exc}") from exc
+    pieces = [np.zeros(n)]
+    for q, a in zip((p - 1, p), _deltas(k, theta, lam, p - 1, p)):
+        if not a.size:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            # in place: the coboundary is this call's own array
+            a *= np.sqrt(w.vector(q + 1))[:, None]
+            a /= np.sqrt(w.vector(q))
+            ah = a.conj().T
+            gram = a @ ah if a.shape[0] < a.shape[1] else ah @ a
+        _require_finite(f"degree {p} Laplacian", a, gram)
+        try:
+            pieces.append(np.linalg.eigvalsh(gram))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalue solve failed in degree {p}: {exc}") from exc
+    return np.sort(np.concatenate(pieces))[-n:]
 
 
 def _singular_values(spectrum: np.ndarray) -> np.ndarray:
@@ -183,9 +215,10 @@ def _singular_values(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _harmonic_cut(sing: np.ndarray, threshold: float) -> float:
-    # eigvalsh perturbs a true zero eigenvalue by roughly n * eps * eig_max,
-    # which is sqrt(n * eps) * sigma_max after the square root, so the user
-    # threshold is floored at that machine-noise level
+    # a true zero is a padded 0 or a zero of one Gram piece m x m (m <= n),
+    # which the product and eigvalsh perturb by about m * eps * ||A||^2, at
+    # most n * eps * eig_max: sqrt(n * eps) * sigma_max after the square
+    # root, so the user threshold is floored at that machine-noise level
     if not math.isfinite(threshold):
         raise ValueError(f"harmonic threshold must be finite, got {threshold}")
     floor = math.sqrt(sing.size * np.finfo(float).eps)

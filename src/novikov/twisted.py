@@ -139,19 +139,6 @@ def _coboundary_rows(k: SimplicialComplex, theta: OneCocycle, lam, p: int):
     return _rows(k, theta, p, weight, (one, 0 - one))
 
 
-def _coboundary_array(k: SimplicialComplex, theta: OneCocycle, lam, p: int):
-    """Dense complex delta_p; outside degrees 0..dim it is the zero map."""
-    a = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=complex)
-    if 0 <= p <= k.dim:
-        rows, cols, vals = [], [], []
-        for r, row in enumerate(_coboundary_rows(k, theta, lam, p)):
-            rows += [r] * len(row)
-            cols += row
-            vals += row.values()
-        a[rows, cols] = vals
-    return a
-
-
 def twisted_coboundary(
     k: SimplicialComplex, theta: OneCocycle, lam, p: int
 ) -> Matrix:

@@ -12,8 +12,10 @@ twisted Betti numbers, the declared cross-check of ``betti_profile``: it
 ranks every coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
 residual of ``novikov.twisted.reduce``.  ``complex_hodge_spectrum`` is the
 Laplacian spectrum in complex arithmetic throughout, the declared
-cross-check of ``novikov.hodge.laplacian_spectrum``, which runs in real
-arithmetic when every coboundary entry is real.
+cross-check of ``novikov.hodge.laplacian_spectrum``, which solves two Gram
+pieces of the scaled coboundaries, in real arithmetic when every coboundary
+entry is real.  ``_coboundary_array`` is the dense complex coboundary both
+cross-checks read.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from novikov.scalars import Matrix, NumberFieldElement, _exact_rank_columns, _float_rank
-from novikov.twisted import _coboundary_array, _coboundary_rows, _local_system
+from novikov.twisted import _coboundary_rows, _local_system
 
 
 def dense(m: Matrix) -> np.ndarray:
@@ -76,6 +78,20 @@ def coboundary(k, theta, lam, p: int) -> np.ndarray:
         for i in range(1, len(tau)):
             out[r, k.simplex_index(tau[:i] + tau[i + 1 :])] = field((-1) ** i)
     return out
+
+
+def _coboundary_array(k, theta, lam, p: int) -> np.ndarray:
+    """Dense complex delta_p from ``_coboundary_rows``; outside degrees
+    0..dim it is the zero map."""
+    a = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=complex)
+    if 0 <= p <= k.dim:
+        rows, cols, vals = [], [], []
+        for r, row in enumerate(_coboundary_rows(k, theta, lam, p)):
+            rows += [r] * len(row)
+            cols += row
+            vals += row.values()
+        a[rows, cols] = vals
+    return a
 
 
 def complex_hodge_spectrum(k, theta, lam, p: int, w) -> np.ndarray:

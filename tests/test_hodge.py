@@ -13,7 +13,7 @@ from novikov.cocycles import (
     holonomy,
     zero_cocycle,
 )
-from novikov.complexes import circle, point
+from novikov.complexes import SimplicialComplex, circle, point
 from novikov.constructions import cyclic_cover, product, torus_grid
 from novikov.errors import BackendMismatchError, NumericalError
 from novikov import hodge
@@ -314,6 +314,16 @@ def test_hodge_products_past_the_float_range_are_numerical_errors():
                 hodge_decompose(k, theta, 1e200, p, np.ones(k.n_simplices(p)))
         with pytest.raises(NumericalError, match="adjoint leaves the float range"):
             adjoint(k, theta, 2.0, 0, steep)
+        # the spectrum checks its scaled coboundaries and Gram products, so
+        # no overflow reaches the eigensolver as a LinAlgError
+        for p in range(k.dim + 1):
+            with pytest.raises(NumericalError, match="Laplacian leaves the float range"):
+                laplacian_spectrum(k, theta, 1e200, p)
+        # the steep ratio enters degrees 0 and 1; degree 2 sees only 1e-300
+        for p in (0, 1):
+            with pytest.raises(NumericalError, match="Laplacian leaves the float range"):
+                laplacian_spectrum(k, theta, 2.0, p, steep)
+        assert np.isfinite(laplacian_spectrum(k, theta, 2.0, 2, steep)).all()
 
 
 def real_path_case(shape, seed):
@@ -373,3 +383,44 @@ def test_real_entries_choose_real_arithmetic():
     c = circle(3)
     big = OneCocycle({(0, 1): 101, (1, 2): 0, (0, 2): 101})
     assert dtypes(c, big, -2.0) == {np.dtype(complex)}
+
+
+def test_spectrum_is_solved_on_the_smaller_gram_pieces(monkeypatch):
+    # the spectrum of Lap_p is the nonzero spectrum of the Gram matrices of
+    # A_p and A_{p-1}, each formed on its smaller side: torus3 has
+    # 27/189/324/162 simplices, so no solve is n_2 x n_2 = 324 x 324
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        solves.append((a.shape, a.dtype))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    # real entries are assembled into float64 arrays of their own, not
+    # into complex ones read through a .real view
+    assert all(d.flags.owndata for d in hodge._deltas(k, theta, 2.0, *range(-1, k.dim + 1)))
+    w = InnerProduct(k)
+    expected = {0: [27], 1: [27, 189], 2: [189, 162], 3: [162]}
+    for lam, dtype in ((2.0, np.float64), (-1 + 0.5j, complex)):
+        for p in range(k.dim + 1):
+            solves.clear()
+            spectrum = laplacian_spectrum(k, theta, lam, p)
+            # p = 0 and p = dim have an empty piece, p = 1 and 2 a surplus
+            assert [shape for shape, _ in solves] == [(m, m) for m in expected[p]]
+            assert {t for _, t in solves} == {np.dtype(dtype)}
+            assert spectrum.shape == (k.n_simplices(p),)
+            assert np.all(np.diff(spectrum) >= 0)
+            reference = complex_hodge_spectrum(k, theta, lam, p, w)
+            assert np.abs(spectrum - reference).max() <= 1e-12 * reference.max()
+
+
+def test_a_shortfall_of_gram_eigenvalues_is_padded_with_zeros():
+    # a filled triangle and an isolated vertex: delta_0 is 3 x 4, so its Gram
+    # piece gives 3 eigenvalues for the 4 vertices
+    k = SimplicialComplex.build([[0, 1, 2], [3]])
+    theta = zero_cocycle(k)
+    np.testing.assert_allclose(laplacian_spectrum(k, theta, 1.0, 0), [0, 0, 3, 3], atol=1e-12)
+    assert harmonic_dim(k, theta, 1.0, 0) == 2
+    assert [laplacian_spectrum(k, theta, 1.0, p).size for p in range(3)] == [4, 3, 1]

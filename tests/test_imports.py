@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used there, and every
-name it exports exists.
+"""Every name a module of the package imports is used there, every name it
+exports exists, and its only runtime dependency outside the standard
+library is numpy.
 
 A standard-library stand-in for pyflakes' unused-import check: an imported
 name counts as used when it appears as a name anywhere in the module (an
@@ -9,6 +10,7 @@ attribute's root included) or is listed in the module's ``__all__``.  The
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import novikov
@@ -54,6 +56,42 @@ def test_package_has_no_unused_imports():
     assert modules
     found = {path.name: unused_imports(path.read_text()) for path in modules}
     assert not {name: names for name, names in found.items() if names}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is neither stdlib nor numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}
+        ]
+    return found
+
+
+def test_checker_finds_a_foreign_import():
+    source = "\n".join(
+        [
+            "import math, numpy.linalg",
+            "from . import twisted",
+            "from .scalars import Matrix",
+            "from scipy.linalg import eigh",
+            "import sympy as sp",
+        ]
+    )
+    assert foreign_imports(source) == ["scipy.linalg (line 4)", "sympy (line 5)"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    found = {path.name: foreign_imports(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert found and not {name: names for name, names in found.items() if names}
 
 
 def test_every_exported_name_resolves():
