@@ -59,11 +59,9 @@ from .errors import (
 from .hodge import (
     HodgeParts,
     InnerProduct,
-    adjoint,
     harmonic_dim,
     harmonic_representative,
     hodge_decompose,
-    laplacian,
     laplacian_spectrum,
     spectral_gap,
 )
@@ -118,7 +116,6 @@ __all__ = [
     "SimplicialMap",
     "WangProfile",
     "ZeroCochain",
-    "adjoint",
     "b_n",
     "b_n_detail",
     "bc_limit_check",
@@ -138,7 +135,6 @@ __all__ = [
     "induced_action",
     "is_exact",
     "kunneth_check",
-    "laplacian",
     "laplacian_spectrum",
     "load_action",
     "load_complex",

@@ -9,6 +9,8 @@ edge or a vertex of each factor.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, validate_closed
 from .errors import ConstructionError, InvalidMapError
@@ -161,21 +163,19 @@ def product(left: SimplicialComplex, right: SimplicialComplex) -> ProductComplex
     return ProductComplex(left, right)
 
 
+@dataclass(frozen=True, eq=False)
 class MappingTorus:
     """Prism tower over a complex, glued top to bottom through a map."""
 
-    __slots__ = ("base", "map", "layers", "complex", "fiber_cocycle", "holonomy_period")
+    base: SimplicialComplex
+    map: SimplicialMap
+    layers: int
+    complex: SimplicialComplex
+    fiber_cocycle: OneCocycle
 
-    def __init__(self, base, phi, layers, complex_, fiber_cocycle):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "map", phi)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "complex", complex_)
-        object.__setattr__(self, "fiber_cocycle", fiber_cocycle)
-        object.__setattr__(self, "holonomy_period", layers)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MappingTorus is immutable")
+    @property
+    def holonomy_period(self) -> int:
+        return self.layers
 
 
 def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) -> MappingTorus:
@@ -239,20 +239,15 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
     return MappingTorus(base, phi, layers, glued, fiber)
 
 
+@dataclass(frozen=True, eq=False)
 class CoveringData:
     """Cyclic cover of a complex, classified by a cocycle mod sheets."""
 
-    __slots__ = ("base", "sheets", "complex", "theta_lift", "base_theta")
-
-    def __init__(self, base, sheets, complex_, theta_lift, base_theta):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "sheets", sheets)
-        object.__setattr__(self, "complex", complex_)
-        object.__setattr__(self, "theta_lift", theta_lift)
-        object.__setattr__(self, "base_theta", base_theta)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoveringData is immutable")
+    base: SimplicialComplex
+    sheets: int
+    complex: SimplicialComplex
+    theta_lift: OneCocycle
+    base_theta: OneCocycle
 
     def vertex_id(self, v: int, sheet: int) -> int:
         return v * self.sheets + sheet % self.sheets

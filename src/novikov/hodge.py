@@ -13,24 +13,29 @@ backends have no square roots or conjugation, so lambda is coerced to a
 float up front by the backend decision of ``scalars``, which refuses a
 number-field lambda and raises NumericalError past the float range.
 
-The spectrum never forms Lap_p.  With the scaled coboundaries
-A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, the matrix W_p^{1/2} Lap_p W_p^{-1/2}
-is A_p^H A_p + A_{p-1} A_{p-1}^H, and delta_p delta_{p-1} = 0 makes the two
-terms' ranges orthogonal.  So ``laplacian_spectrum`` takes the nonzero
-eigenvalues of two Gram matrices, each formed on the smaller side of its A
-(A^H A or A A^H), and pads them with zeros (Eckmann, 1944; Horak-Jost,
-Adv. Math. 2013).  ``laplacian`` keeps the full matrix for its callers.
+Every product reads the scaled coboundaries
+A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, built in one helper, ``_scaled``.
+In the coordinates W_p^{1/2} x the weighted metric is the plain one, the
+adjoint is A^H, and W_p^{1/2} Lap_p W_p^{-1/2} = A_p^H A_p + A_{p-1} A_{p-1}^H,
+whose two terms have orthogonal ranges since delta_p delta_{p-1} = 0.  So
+nothing forms Lap_p or an adjoint.  ``laplacian_spectrum`` takes the
+nonzero eigenvalues of two Gram matrices, each formed on the smaller side
+of its A (A^H A or A A^H), and pads them with zeros (Eckmann, 1944;
+Horak-Jost, Adv. Math. 2013).  ``hodge_decompose`` projects onto im A_{p-1}
+and im A_p^H, and ``harmonic_representative`` off im A_0, by plain least
+squares.  The full adjoint and Laplacian live on only in the tests, as the
+declared cross-check.
 
 When every coboundary entry has an exactly zero imaginary part, as for a
-positive lambda, the coboundaries are float64 and so are ``adjoint``,
-``laplacian`` and the Gram matrices: the products and the eigensolver run in
-real arithmetic at about half the cost of complex Hermitian ones.  The
-decision reads the assembled entries before any array is allocated, not the
-sign of lambda or the kind of theta: the complex power leaves an imaginary
-part at a negative lambda once the exponent is large (complex(-2.0) **
-complex(101) has imaginary part 2.2e16), and an entry test keeps the real
-parts bit for bit either way.  An adjoint, Laplacian, Gram matrix or Hodge
-decomposition whose products leave the float range raises NumericalError.
+positive lambda, the coboundaries are float64 and so are the scaled A_q and
+the Gram matrices: the products and the eigensolver run in real arithmetic
+at about half the cost of complex Hermitian ones.  The decision reads the
+assembled entries before any array is allocated, not the sign of lambda or
+the kind of theta: the complex power leaves an imaginary part at a negative
+lambda once the exponent is large (complex(-2.0) ** complex(101) has
+imaginary part 2.2e16), and an entry test keeps the real parts bit for bit
+either way.  A scaled coboundary, Gram matrix or Hodge decomposition whose
+products leave the float range raises NumericalError.
 
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
@@ -60,8 +65,6 @@ from . import twisted
 __all__ = [
     "DEFAULT_HARMONIC_THRESHOLD",
     "InnerProduct",
-    "adjoint",
-    "laplacian",
     "laplacian_spectrum",
     "harmonic_dim",
     "spectral_gap",
@@ -145,10 +148,6 @@ def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
     return deltas
 
 
-def _adjoint_of(d: np.ndarray, w: InnerProduct, p: int) -> np.ndarray:
-    return (d.conj().T * w.vector(p + 1)) / w.vector(p)[:, None]
-
-
 def _require_finite(what: str, *arrays) -> None:
     # finite weights can still multiply past the float range in the products,
     # which run with numpy's overflow warnings off and are checked here
@@ -156,27 +155,20 @@ def _require_finite(what: str, *arrays) -> None:
         raise NumericalError(f"{what} leaves the float range")
 
 
-def adjoint(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) -> np.ndarray:
-    """Matrix of the weighted adjoint, mapping degree p+1 back to degree p.
+def _scaled(k, theta, lam, w: InnerProduct, what: str, *degrees) -> list[np.ndarray]:
+    """The scaled coboundaries A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}.
 
-    Scaling every weight by one positive constant changes nothing: the
-    constant cancels between the inverse on the left and the plain weight
-    on the right.
+    The one place the inner product enters an operator: each delta_q is
+    assembled once by ``_deltas`` and scaled in place, since it is this
+    call's own array.
     """
-    (d,) = _deltas(k, theta, lam, p)
+    scaled = _deltas(k, theta, lam, *degrees)
     with np.errstate(over="ignore", invalid="ignore"):
-        adj = _adjoint_of(d, _resolve(k, weights), p)
-    _require_finite(f"degree {p} adjoint", adj)
-    return adj
-
-
-def laplacian(k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None) -> np.ndarray:
-    w = _resolve(k, weights)
-    below, here = _deltas(k, theta, lam, p - 1, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lap = _adjoint_of(here, w, p) @ here + below @ _adjoint_of(below, w, p - 1)
-    _require_finite(f"degree {p} Laplacian", lap)
-    return lap
+        for q, a in zip(degrees, scaled):
+            a *= np.sqrt(w.vector(q + 1))[:, None]
+            a /= np.sqrt(w.vector(q))
+    _require_finite(what, *scaled)
+    return scaled
 
 
 def laplacian_spectrum(
@@ -188,21 +180,18 @@ def laplacian_spectrum(
     module docstring).  Anything below them is a zero in exact arithmetic,
     since rank A_p + rank A_{p-1} <= n_p.
     """
-    w = _resolve(k, weights)
     n = k.n_simplices(p)
     if n == 0:
         return np.zeros(0)
+    what = f"degree {p} Laplacian"
     pieces = [np.zeros(n)]
-    for q, a in zip((p - 1, p), _deltas(k, theta, lam, p - 1, p)):
+    for a in _scaled(k, theta, lam, _resolve(k, weights), what, p - 1, p):
         if not a.size:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            # in place: the coboundary is this call's own array
-            a *= np.sqrt(w.vector(q + 1))[:, None]
-            a /= np.sqrt(w.vector(q))
             ah = a.conj().T
             gram = a @ ah if a.shape[0] < a.shape[1] else ah @ a
-        _require_finite(f"degree {p} Laplacian", a, gram)
+        _require_finite(what, gram)
         try:
             pieces.append(np.linalg.eigvalsh(gram))
         except np.linalg.LinAlgError as exc:
@@ -219,19 +208,21 @@ def _harmonic_cut(sing: np.ndarray, threshold: float) -> float:
     # which the product and eigvalsh perturb by about m * eps * ||A||^2, at
     # most n * eps * eig_max: sqrt(n * eps) * sigma_max after the square
     # root, so the user threshold is floored at that machine-noise level
-    if not math.isfinite(threshold):
-        raise ValueError(f"harmonic threshold must be finite, got {threshold}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"harmonic threshold must be finite and nonnegative, got {threshold}"
+        )
     floor = math.sqrt(sing.size * np.finfo(float).eps)
-    return max(threshold, floor) * sing.max()
+    return max(threshold, floor) * sing.max(initial=0.0)
 
 
 def _dim_and_gap(spectrum: np.ndarray, threshold: float):
-    """Harmonic dimension and spectral gap of one Laplacian spectrum."""
+    """Harmonic dimension and spectral gap of one Laplacian spectrum.
+
+    An empty or all-zero spectrum has the cut 0: every value is harmonic
+    and there is no gap.
+    """
     sing = _singular_values(spectrum)
-    if sing.size == 0:
-        return 0, None
-    if sing.max() == 0:
-        return sing.size, None
     cut = _harmonic_cut(sing, threshold)
     above = spectrum[sing > cut]
     gap = float(above.min()) if above.size else None
@@ -275,15 +266,12 @@ class HodgeParts:
         return self.harmonic + self.exact + self.coexact
 
 
-def _weighted_projection(target, basis_matrix, w_vec):
-    """Project target onto the column span in the weighted metric."""
-    if basis_matrix.shape[1] == 0:
+def _projection(target, basis):
+    """Orthogonal projection of target onto the column span of basis."""
+    if basis.shape[1] == 0:
         return np.zeros_like(target)
-    root = np.sqrt(w_vec)
-    coeff, *_ = np.linalg.lstsq(
-        basis_matrix * root[:, None], target * root, rcond=None
-    )
-    return basis_matrix @ coeff
+    coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    return basis @ coeff
 
 
 def hodge_decompose(
@@ -297,26 +285,32 @@ def hodge_decompose(
     """Split a degree-p cochain into harmonic + image of delta + image of
     the adjoint.
 
-    The two image subspaces are automatically weighted-orthogonal (the
-    pairing between them is <delta delta x, y> = 0), so each projection can
-    be done independently and the harmonic part is the remainder.
+    In the scaled coordinates W_p^{1/2} alpha the weighted metric is the
+    plain one, and the two images are im A_{p-1} and im A_p^H, orthogonal
+    since A_p A_{p-1} = 0.  So each is a plain least-squares projection and
+    the harmonic part is the remainder; all three are scaled back.  The
+    residual is max(|delta_p h|, |adjoint(delta_{p-1}) h|) / max(|alpha|, 1)
+    for the harmonic part h, read off as A_p h' / w_{p+1}^{1/2} and
+    A_{p-1}^H h' / w_{p-1}^{1/2} with h' = W_p^{1/2} h.
     """
     w = _resolve(k, weights)
     alpha = np.asarray(cochain, dtype=complex)
     n = k.n_simplices(p)
     if alpha.shape != (n,):
         raise ValueError(f"cochain has shape {alpha.shape}, need ({n},)")
-    wv = w.vector(p)
-    below, here = _deltas(k, theta, lam, p - 1, p)
+    what = f"degree {p} Hodge decomposition"
+    below, here = _scaled(k, theta, lam, w, what, p - 1, p)
+    root = np.sqrt(w.vector(p))
     with np.errstate(over="ignore", invalid="ignore"):
-        exact = _weighted_projection(alpha, below, wv)
-        coexact = _weighted_projection(alpha, _adjoint_of(here, w, p), wv)
-        harmonic = alpha - exact - coexact
+        scaled = alpha * root
+        exact = _projection(scaled, below)
+        coexact = _projection(scaled, here.conj().T)
+        harmonic = scaled - exact - coexact
         scale = max(float(np.linalg.norm(alpha)), 1.0)
-        # the harmonic remainder must be killed by both operators
-        r1 = np.linalg.norm(here @ harmonic)
-        r2 = np.linalg.norm(_adjoint_of(below, w, p - 1) @ harmonic)
-    _require_finite(f"degree {p} Hodge decomposition", harmonic, (r1, r2))
+        r1 = np.linalg.norm(here @ harmonic / np.sqrt(w.vector(p + 1)))
+        r2 = np.linalg.norm(below.conj().T @ harmonic / np.sqrt(w.vector(p - 1)))
+        exact, coexact, harmonic = exact / root, coexact / root, harmonic / root
+    _require_finite(what, harmonic, (r1, r2))
     residual = float(max(r1, r2) / scale)
     return HodgeParts(harmonic=harmonic, exact=exact, coexact=coexact, residual=residual)
 
@@ -334,10 +328,10 @@ def harmonic_representative(
     if k.dim < 1:
         raise ValueError("need 1-simplices for a 1-cochain representative")
     edges = k.edges
-    vec = np.asarray([float(theta.value(u, v)) for (u, v) in edges])
-    (d0,) = _deltas(k, zero_cocycle(k), 1.0, 0)
-    drop = _weighted_projection(vec, d0, w.vector(1))
-    rep = vec - drop
+    root = np.sqrt(w.vector(1))
+    scaled = np.asarray([float(theta.value(u, v)) for (u, v) in edges]) * root
+    (a0,) = _scaled(k, zero_cocycle(k), 1.0, w, "harmonic representative", 0)
+    rep = (scaled - _projection(scaled, a0)) / root
     return OneCocycle(
         {e: float(rep[i]) for i, e in enumerate(edges)}, mode="float"
     )

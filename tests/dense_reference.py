@@ -10,12 +10,14 @@ that writes every coboundary of the package; ``coboundary`` is the declared
 cross-check of that assembly.  ``dense_route_dims`` is the full route to the
 twisted Betti numbers, the declared cross-check of ``betti_profile``: it
 ranks every coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
-residual of ``novikov.twisted.reduce``.  ``complex_hodge_spectrum`` is the
-Laplacian spectrum in complex arithmetic throughout, the declared
-cross-check of ``novikov.hodge.laplacian_spectrum``, which solves two Gram
-pieces of the scaled coboundaries, in real arithmetic when every coboundary
-entry is real.  ``_coboundary_array`` is the dense complex coboundary both
-cross-checks read.
+residual of ``novikov.twisted.reduce``.  ``adjoint`` and ``laplacian`` are
+the weighted adjoint W^{-1} delta^H W and the full Laplacian, which
+``novikov.hodge`` never forms, and ``complex_hodge_spectrum`` is that
+Laplacian's spectrum in complex arithmetic throughout: the declared
+cross-check of ``novikov.hodge``, which reads only the scaled coboundaries
+and solves two Gram pieces of them, in real arithmetic when every
+coboundary entry is real.  ``_coboundary_array`` is the dense complex
+coboundary every cross-check reads.
 """
 
 from fractions import Fraction
@@ -94,23 +96,31 @@ def _coboundary_array(k, theta, lam, p: int) -> np.ndarray:
     return a
 
 
+def adjoint(k, theta, lam, p: int, w) -> np.ndarray:
+    """Weighted adjoint W_p^{-1} delta_p^H W_{p+1} of the complex
+    ``_coboundary_array``, mapping degree p+1 back to degree p.  w is an
+    ``InnerProduct``."""
+    lam = _local_system(k, theta, lam, backend="float")[0]
+    d = _coboundary_array(k, theta, lam, p)
+    return (d.conj().T * w.vector(p + 1)) / w.vector(p)[:, None]
+
+
+def laplacian(k, theta, lam, p: int, w) -> np.ndarray:
+    """The full degree-p weighted Laplacian
+    adjoint(delta_p) delta_p + delta_{p-1} adjoint(delta_{p-1}), complex."""
+    lam = _local_system(k, theta, lam, backend="float")[0]
+    below, here = (_coboundary_array(k, theta, lam, q) for q in (p - 1, p))
+    return adjoint(k, theta, lam, p, w) @ here + below @ adjoint(k, theta, lam, p - 1, w)
+
+
 def complex_hodge_spectrum(k, theta, lam, p: int, w) -> np.ndarray:
     """Degree-p weighted Laplacian spectrum from complex deltas.
 
-    The complex ``_coboundary_array`` of degrees p-1 and p, their weighted
-    adjoints W^{-1} delta^H W, the symmetrization W^{1/2} Lap W^{-1/2} and
-    ``eigvalsh``, all in complex128 whatever the entries are.  w is an
-    ``InnerProduct``.
+    The full ``laplacian``, its symmetrization W^{1/2} Lap W^{-1/2} and
+    ``eigvalsh``, all in complex128 whatever the entries are.
     """
-    lam = _local_system(k, theta, lam, backend="float")[0]
-    below, here = (_coboundary_array(k, theta, lam, q) for q in (p - 1, p))
-
-    def adjoint(d, q):
-        return (d.conj().T * w.vector(q + 1)) / w.vector(q)[:, None]
-
-    lap = adjoint(here, p) @ here + below @ adjoint(below, p - 1)
     root = np.sqrt(w.vector(p))
-    sym = (root[:, None] * lap) / root
+    sym = (root[:, None] * laplacian(k, theta, lam, p, w)) / root
     return np.linalg.eigvalsh((sym + sym.conj().T) / 2)
 
 

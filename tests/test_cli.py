@@ -300,6 +300,7 @@ def test_validation_errors_exit_2(tmp_path):
         ("wang", "--action", str(float_action), "--lambda", "2", "--backend", "exact"),
         ("hodge", "--complex", torus2, "--lambda", "1.0", "--threshold", "nan"),
         ("hodge", "--complex", torus2, "--lambda", "1.0", "--threshold", "inf"),
+        ("hodge", "--complex", torus2, "--lambda", "1.0", "--threshold", "-1"),
         ("betti", "--complex", torus2, "--lambda", "1.0", "--tolerance", "inf"),
         ("verify", "--suite", "theorem21", "--complex", torus2, "--trials", "0"),
         ("verify", "--suite", "theorem21", "--complex", torus2, "--trials", "-1"),

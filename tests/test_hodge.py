@@ -20,11 +20,9 @@ from novikov import hodge
 from novikov.hodge import (
     DEFAULT_HARMONIC_THRESHOLD,
     InnerProduct,
-    adjoint,
     harmonic_dim,
     harmonic_representative,
     hodge_decompose,
-    laplacian,
     laplacian_spectrum,
     spectral_gap,
 )
@@ -33,7 +31,7 @@ from novikov.scalars import parse_scalar
 from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, twisted_coboundary
 
-from dense_reference import complex_hodge_spectrum
+from dense_reference import adjoint, complex_hodge_spectrum, laplacian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -70,7 +68,7 @@ def test_adjoint_is_transpose_for_unit_weights_untwisted():
     k, theta = torus_fixture()
     for p in range(k.dim):
         delta = twisted_coboundary(k, theta, 1.0, p).to_numpy()
-        np.testing.assert_allclose(adjoint(k, theta, 1.0, p), delta.T.conj())
+        np.testing.assert_allclose(adjoint(k, theta, 1.0, p, InnerProduct(k)), delta.T.conj())
 
 
 def test_adjoint_pairing_identity():
@@ -102,9 +100,23 @@ def test_adjoint_ignores_global_weight_scale():
             adjoint(k, theta, 2.0, p, InnerProduct(k, base)),
             adjoint(k, theta, 2.0, p, InnerProduct(k, scaled)),
         )
+    # so neither the spectrum nor the decomposition of the package moves
+    alpha = rng.standard_normal(k.n_simplices(1))
+    one, other = (
+        hodge_decompose(k, theta, 2.0, 1, alpha, InnerProduct(k, w)) for w in (base, scaled)
+    )
+    for part in ("harmonic", "exact", "coexact"):
+        np.testing.assert_allclose(getattr(one, part), getattr(other, part), atol=1e-12)
+    for p in range(k.dim + 1):
+        np.testing.assert_allclose(
+            laplacian_spectrum(k, theta, 2.0, p, InnerProduct(k, base)),
+            laplacian_spectrum(k, theta, 2.0, p, InnerProduct(k, scaled)),
+            atol=1e-12,
+        )
 
 
 def test_laplacian_weighted_symmetry_and_psd():
+    # the declared reference's full Laplacian, and the spectrum of the package
     rng = np.random.default_rng(7)
     k, theta = torus_fixture()
     w = random_weights(k, rng)
@@ -143,9 +155,12 @@ def test_harmonic_dim_torus_frozen_values():
 
 def test_non_finite_harmonic_threshold_raises():
     k, theta = torus_fixture()
-    for threshold in (float("nan"), float("inf")):
+    for threshold in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="finite"):
             harmonic_dim(k, theta, 1.0, 1, threshold=threshold)
+        # also where the spectrum is all zero and no cut is needed
+        with pytest.raises(ValueError, match="finite"):
+            harmonic_dim(point(), OneCocycle({}), 1.0, 0, threshold=threshold)
 
 
 def test_near_trivial_monodromy_is_not_harmonic():
@@ -258,7 +273,7 @@ def test_degenerate_degrees():
     assert harmonic_dim(c, ct, 2.0, 5) == 0
     assert laplacian_spectrum(c, ct, 2.0, 5).size == 0
     k = product(circle(3), circle(3)).complex
-    assert laplacian(c, ct, 2.0, 1).shape == (3, 3)
+    assert laplacian_spectrum(c, ct, 2.0, 1).shape == (3,)
     assert k.n_simplices(2) == 18
 
 def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
@@ -274,11 +289,14 @@ def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
     for p in range(k.dim + 1):
         expected = [p - 1, p] if p else [0]
         degrees.clear()
-        laplacian(k, theta, 2.0, p)
+        laplacian_spectrum(k, theta, 2.0, p)
         assert sorted(degrees) == expected
         degrees.clear()
         hodge_decompose(k, theta, 2.0, p, np.ones(k.n_simplices(p)))
         assert sorted(degrees) == expected
+    degrees.clear()
+    harmonic_representative(k, theta)
+    assert degrees == [0]
 
 
 def test_lambda_outside_the_float_backend_is_refused():
@@ -300,20 +318,16 @@ def test_laplacian_overflow_is_a_numerical_error():
 
 
 def test_hodge_products_past_the_float_range_are_numerical_errors():
-    # the same finite weights: laplacian and hodge_decompose check their own
-    # products, and warn about none of them
+    # the same finite weights: the spectrum and hodge_decompose check their
+    # own products, and warn about none of them
     k, theta = load_complex(FIXTURES / "torus2.json")
     # valid inner-product weights whose ratio 1e600 is past the float range
     steep = InnerProduct(k, {0: [1e-300] * k.n_simplices(0), 1: [1e300] * k.n_simplices(1)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in range(k.dim + 1):
-            with pytest.raises(NumericalError, match="Laplacian leaves the float range"):
-                laplacian(k, theta, 1e200, p)
             with pytest.raises(NumericalError, match="decomposition leaves the float range"):
                 hodge_decompose(k, theta, 1e200, p, np.ones(k.n_simplices(p)))
-        with pytest.raises(NumericalError, match="adjoint leaves the float range"):
-            adjoint(k, theta, 2.0, 0, steep)
         # the spectrum checks its scaled coboundaries and Gram products, so
         # no overflow reaches the eigensolver as a LinAlgError
         for p in range(k.dim + 1):
@@ -371,7 +385,8 @@ def test_spectrum_matches_complex_reference(shape, lam, seed):
 def test_real_entries_choose_real_arithmetic():
     def dtypes(k, theta, lam):
         deltas = hodge._deltas(k, theta, lam, *range(-1, k.dim + 1))
-        return {d.dtype for d in deltas} | {laplacian(k, theta, lam, 1).dtype}
+        scaled = hodge._scaled(k, theta, lam, InnerProduct(k), "scaling", 0, 1)
+        return {d.dtype for d in deltas} | {a.dtype for a in scaled}
 
     k, theta = load_complex(FIXTURES / "torus3.json")
     assert dtypes(k, theta, 0.5) == {np.dtype(np.float64)}

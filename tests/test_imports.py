@@ -1,11 +1,12 @@
 """Every name a module of the package imports is used there, every name it
-exports exists, and its only runtime dependency outside the standard
-library is numpy.
+exports exists and has a caller, and its only runtime dependency outside
+the standard library is numpy.
 
 A standard-library stand-in for pyflakes' unused-import check: an imported
 name counts as used when it appears as a name anywhere in the module (an
 attribute's root included) or is listed in the module's ``__all__``.  The
-``__all__`` checks catch a deleted name left behind in an export list.
+``__all__`` checks catch a deleted name left behind in an export list, and
+a public name that only the tests read.
 """
 
 import ast
@@ -15,7 +16,10 @@ from pathlib import Path
 
 import novikov
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "novikov"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "novikov"
+# public names that only the tests read, each declared on purpose
+TEST_ONLY = {"coboundary_of", "path_complex", "sphere_boundary", "point", "action_to_json"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,3 +121,76 @@ def test_package_exports_exactly_what_it_imports():
     }
     assert set(novikov.__all__) == imported
     assert len(novikov.__all__) == len(imported)
+
+
+def exported_names(source: str) -> list[str]:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the code reads: bare, as an attribute or imported by name.
+
+    Docstrings and comments are not code, so a name they mention is not read.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def names_without_a_caller(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` for every ``__all__`` entry of modules that no caller reads."""
+    read = set().union(*map(read_names, callers))
+    return [
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in exported_names(source)
+        if name not in read
+    ]
+
+
+def test_checker_finds_a_name_without_a_caller():
+    shapes = "\n".join(
+        [
+            '__all__ = ["area", "perimeter", "volume", "Box", "edge"]',
+            "def area(box):",
+            '    """Unlike volume, the area is read."""',
+            "    return box.edge ** 2",
+        ]
+    )
+    callers = [
+        shapes,
+        "from shapes import area",
+        "import shapes\nshapes.perimeter(1)",
+        "Box = None  # volume",
+    ]
+    assert names_without_a_caller({"shapes": shapes}, callers) == ["shapes.volume"]
+
+
+def test_every_public_name_has_a_caller():
+    # the package __init__ only re-exports, so its imports call nothing
+    modules = {
+        path.stem: path.read_text()
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    scripts = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    callers = list(modules.values()) + [path.read_text() for path in scripts]
+    assert modules and scripts
+    missing = names_without_a_caller(modules, callers)
+    assert sorted(missing) == sorted(
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in exported_names(source)
+        if name in TEST_ONLY
+    )
