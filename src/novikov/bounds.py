@@ -154,7 +154,7 @@ def small_b_limit(n: int) -> float:
     return (1 + n * wallis(n)) ** (1.0 / n) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductValue:
     """Truncated infinite product with its tail bound and term count."""
 
@@ -201,7 +201,7 @@ def b_n(n: int, x: float) -> float:
     return b_n_detail(n, x).value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BcRow:
     b: float
     bc: float
@@ -215,7 +215,7 @@ class BcRow:
         return {"b": self.b, "b_times_c": self.bc, "omega": self.omega, "gap": self.gap}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BcTable:
     """b * C(b) sampled on a decreasing grid, with monotonicity flags.
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _natural
 from .errors import IncompleteCocycleError, InvalidLoopError
 
 __all__ = [
@@ -55,22 +56,22 @@ def _check_mode_value(value, mode):
     raise ValueError(f"unknown cocycle mode {mode!r}")
 
 
+@dataclass(frozen=True, slots=True)
 class OneCocycle:
     """Integer or real valued 1-cochain indexed by increasing edges."""
 
-    __slots__ = ("values", "mode")
+    values: dict
+    mode: str = "exact"
 
-    def __init__(self, values, mode="exact"):
+    def __post_init__(self):
         cleaned = {}
-        for (u, v), val in dict(values).items():
-            if not (isinstance(u, int) and isinstance(v, int) and u < v):
-                raise ValueError(f"edge keys must be increasing pairs, got {(u, v)}")
-            cleaned[(u, v)] = _check_mode_value(val, mode)
+        for (u, v), val in dict(self.values).items():
+            if not (_natural(u) and _natural(v) and u < v):
+                raise ValueError(
+                    f"edge keys must be increasing pairs of ints >= 0, got {(u, v)}"
+                )
+            cleaned[(u, v)] = _check_mode_value(val, self.mode)
         object.__setattr__(self, "values", cleaned)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, *a):
-        raise AttributeError("OneCocycle is immutable")
 
     def value(self, u: int, v: int):
         """Signed value on the oriented edge u -> v."""
@@ -83,33 +84,24 @@ class OneCocycle:
             raise IncompleteCocycleError(f"no cocycle value on edge {key}") from None
         return raw if u < v else -raw
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneCocycle)
-            and self.mode == other.mode
-            and self.values == other.values
-        )
-
     def __repr__(self):
         return f"OneCocycle({len(self.values)} edges, mode={self.mode})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ZeroCochain:
     """Vertex-indexed potential, the f in theta + delta f."""
 
-    __slots__ = ("values", "mode")
+    values: dict
+    mode: str = "exact"
 
-    def __init__(self, values, mode="exact"):
+    def __post_init__(self):
         cleaned = {}
-        for v, val in dict(values).items():
-            if not isinstance(v, int) or v < 0:
+        for v, val in dict(self.values).items():
+            if not _natural(v):
                 raise ValueError(f"vertex keys must be ints >= 0, got {v!r}")
-            cleaned[v] = _check_mode_value(val, mode)
+            cleaned[v] = _check_mode_value(val, self.mode)
         object.__setattr__(self, "values", cleaned)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ZeroCochain is immutable")
 
     def value(self, v: int):
         return self.values.get(v, 0 if self.mode == "exact" else 0.0)

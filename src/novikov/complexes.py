@@ -9,6 +9,7 @@ immutable.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations
 
 __all__ = [
@@ -42,22 +43,20 @@ def _validated_simplex(simplex, vertex_count):
     return tuple(sorted(s))
 
 
+@dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     """Immutable simplicial complex with sorted simplex tables."""
 
-    __slots__ = ("vertex_count", "simplices", "_index")
+    vertex_count: int
+    simplices: tuple
+    _index: tuple = field(init=False, compare=False)
 
-    def __init__(self, vertex_count: int, simplices_by_dim):
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "simplices", tuple(
-            tuple(level) for level in simplices_by_dim
-        ))
+    def __post_init__(self):
+        levels = tuple(tuple(level) for level in self.simplices)
+        object.__setattr__(self, "simplices", levels)
         object.__setattr__(self, "_index", tuple(
-            {s: i for i, s in enumerate(level)} for level in self.simplices
+            {s: i for i, s in enumerate(level)} for level in levels
         ))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SimplicialComplex is immutable")
 
     @classmethod
     def build(cls, maximal, vertex_count: int | None = None) -> "SimplicialComplex":
@@ -127,16 +126,6 @@ class SimplicialComplex:
             facets = {t[:i] + t[i + 1 :] for t in above for i in range(len(t))}
             out.extend(s for s in level if s not in facets)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertex_count == other.vertex_count
-            and self.simplices == other.simplices
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.simplices))
 
     def __repr__(self):
         return f"SimplicialComplex(vertices={self.vertex_count}, counts={self.counts()})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _natural
 from .cocycles import OneCocycle, validate_closed
 from .errors import ConstructionError, InvalidMapError
 
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SimplicialMap:
     """Vertex map between complexes that sends simplices to simplices.
 
@@ -35,22 +36,23 @@ class SimplicialMap:
     the image vertex set of every simplex is again a simplex of the target.
     """
 
-    __slots__ = ("source", "target", "vertex_map")
+    source: SimplicialComplex
+    target: SimplicialComplex
+    vertex_map: tuple
 
-    def __init__(self, source: SimplicialComplex, target: SimplicialComplex, vertex_map):
-        if isinstance(vertex_map, dict):
-            vertex_map = [vertex_map.get(v) for v in range(source.vertex_count)]
-        vm = tuple(vertex_map)
+    def __post_init__(self):
+        source, target, vm = self.source, self.target, self.vertex_map
+        if isinstance(vm, dict):
+            vm = [vm.get(v) for v in range(source.vertex_count)]
+        vm = tuple(vm)
         if len(vm) != source.vertex_count:
             raise InvalidMapError(
                 f"vertex map covers {len(vm)} vertices, complex has "
                 f"{source.vertex_count}"
             )
         for v, w in enumerate(vm):
-            if not isinstance(w, int) or not 0 <= w < target.vertex_count:
+            if not (_natural(w) and w < target.vertex_count):
                 raise InvalidMapError(f"vertex {v} maps to invalid vertex {w!r}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "vertex_map", vm)
         for s in source.maximal_simplices():
             img = self.image_simplex(s)
@@ -58,9 +60,6 @@ class SimplicialMap:
                 raise InvalidMapError(
                     f"image {img} of simplex {s} is not a simplex of the target"
                 )
-
-    def __setattr__(self, *a):
-        raise AttributeError("SimplicialMap is immutable")
 
     def image_vertex(self, v: int) -> int:
         return self.vertex_map[v]
@@ -108,31 +107,13 @@ def _staircase_paths(p: int, q: int):
     return paths
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ProductComplex:
     """Staircase triangulation of a product, with the pair indexing."""
 
-    __slots__ = ("left", "right", "complex")
-
-    def __init__(self, left: SimplicialComplex, right: SimplicialComplex):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        n_r = right.vertex_count
-        maximal = set()
-        for s in left.maximal_simplices():
-            for t in right.maximal_simplices():
-                p, q = len(s) - 1, len(t) - 1
-                for path in _staircase_paths(p, q):
-                    maximal.add(tuple(s[i] * n_r + t[j] for i, j in path))
-        object.__setattr__(
-            self,
-            "complex",
-            SimplicialComplex.build(
-                sorted(maximal), vertex_count=left.vertex_count * n_r
-            ),
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("ProductComplex is immutable")
+    left: SimplicialComplex
+    right: SimplicialComplex
+    complex: SimplicialComplex
 
     def pair(self, v: int) -> tuple[int, int]:
         return divmod(v, self.right.vertex_count)
@@ -160,10 +141,17 @@ class ProductComplex:
 
 def product(left: SimplicialComplex, right: SimplicialComplex) -> ProductComplex:
     """Staircase product triangulating |left| x |right|."""
-    return ProductComplex(left, right)
+    n_r = right.vertex_count
+    maximal = set()
+    for s in left.maximal_simplices():
+        for t in right.maximal_simplices():
+            for path in _staircase_paths(len(s) - 1, len(t) - 1):
+                maximal.add(tuple(s[i] * n_r + t[j] for i, j in path))
+    k = SimplicialComplex.build(sorted(maximal), vertex_count=left.vertex_count * n_r)
+    return ProductComplex(left, right, k)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class MappingTorus:
     """Prism tower over a complex, glued top to bottom through a map."""
 
@@ -239,7 +227,7 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
     return MappingTorus(base, phi, layers, glued, fiber)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class CoveringData:
     """Cyclic cover of a complex, classified by a cocycle mod sheets."""
 

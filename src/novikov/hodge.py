@@ -53,7 +53,7 @@ worst.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -76,12 +76,16 @@ __all__ = [
 DEFAULT_HARMONIC_THRESHOLD = 1e-8
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class InnerProduct:
     """Positive diagonal weights, one vector per simplex degree."""
 
-    __slots__ = ("complex", "_vectors")
+    complex: SimplicialComplex
+    weights: InitVar[dict | None] = None
+    _vectors: tuple = field(init=False, repr=False)
 
-    def __init__(self, k: SimplicialComplex, weights=None):
+    def __post_init__(self, weights):
+        k = self.complex
         for p in weights or ():
             if p not in range(k.dim + 1):
                 raise ValueError(f"weight degree {p!r} is outside 0..{k.dim}")
@@ -101,11 +105,7 @@ class InnerProduct:
                 if not np.all(np.isfinite(vec) & (vec > 0)):
                     raise ValueError(f"degree {p} weights must be positive and finite")
             vectors.append(vec)
-        object.__setattr__(self, "complex", k)
         object.__setattr__(self, "_vectors", tuple(vectors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("InnerProduct is immutable")
 
     def vector(self, p: int) -> np.ndarray:
         if 0 <= p <= self.complex.dim:
@@ -253,7 +253,7 @@ def spectral_gap(
     return _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HodgeParts:
     """Weighted-orthogonal split of a cochain into its three components."""
 

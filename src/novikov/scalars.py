@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,14 @@ def _pxgcd(a, b):
     return r0, s0
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), refusing a zero denominator with ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 _TERM_RE = re.compile(
     r"^(?P<coef>[+-]?\d+(?:/\d+)?)?"
     r"(?:\*?(?P<var>x)(?:(?:\^|\*\*)(?P<exp>\d+))?)?$"
@@ -125,7 +134,7 @@ def parse_polynomial(text: str) -> tuple[Fraction, ...]:
         m = _TERM_RE.match(body)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"cannot parse polynomial term {piece!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _rational(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("var"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
@@ -159,6 +168,7 @@ def format_polynomial(coeffs) -> str:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class MinimalPolynomial:
     """A monic polynomial over Q presented as the modulus of a number field.
 
@@ -167,16 +177,15 @@ class MinimalPolynomial:
     nontrivial factor raises ReducibilityError carrying that factor.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
-        cs = tuple(_ptrim(list(cs)))
+    def __post_init__(self):
+        cs = tuple(_ptrim(Fraction(c) for c in self.coeffs))
         if len(cs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
         if cs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        self.coeffs = cs
+        object.__setattr__(self, "coeffs", cs)
 
     @classmethod
     def parse(cls, text: str) -> "MinimalPolynomial":
@@ -186,12 +195,6 @@ class MinimalPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, MinimalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __str__(self):
         return format_polynomial(self.coeffs)
 
@@ -199,6 +202,7 @@ class MinimalPolynomial:
         return f"MinimalPolynomial({self})"
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class NumberFieldElement:
     """An element of Q[x]/(m), stored as coefficients of degree < deg(m).
 
@@ -208,7 +212,8 @@ class NumberFieldElement:
     returning garbage.
     """
 
-    __slots__ = ("coeffs", "minpoly")
+    coeffs: tuple
+    minpoly: MinimalPolynomial
 
     def __init__(self, coeffs, minpoly: MinimalPolynomial):
         if not isinstance(minpoly, MinimalPolynomial):
@@ -219,9 +224,6 @@ class NumberFieldElement:
         cs = cs + [Fraction(0)] * (minpoly.degree - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "minpoly", minpoly)
-
-    def __setattr__(self, *a):  # immutable by construction
-        raise AttributeError("NumberFieldElement is immutable")
 
     @classmethod
     def generator(cls, minpoly: MinimalPolynomial) -> "NumberFieldElement":
@@ -392,6 +394,7 @@ def _arithmetic(lam, entries=_EXACT, backend=None, tolerance=None):
     return lam, chosen, DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Matrix:
     """Dense matrix over one scalar backend.
 
@@ -400,10 +403,13 @@ class Matrix:
     and rejects non-finite floats.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "backend", "minpoly")
+    nrows: int
+    ncols: int
+    entries: tuple
+    backend: str = field(init=False)
 
-    def __init__(self, nrows, ncols, entries):
-        entries = list(entries)
+    def __post_init__(self):
+        nrows, ncols, entries = self.nrows, self.ncols, list(self.entries)
         if len(entries) != nrows * ncols:
             raise ValueError(
                 f"matrix {nrows}x{ncols} needs {nrows * ncols} entries, "
@@ -438,11 +444,8 @@ class Matrix:
             entries = coerced
         else:
             entries = [v if isinstance(v, Fraction) else Fraction(v) for v in entries]
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = tuple(entries)
-        self.backend = inferred
-        self.minpoly = minpoly
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "backend", inferred)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -603,7 +606,7 @@ def parse_scalar(text: str):
         minpoly = MinimalPolynomial.parse(parts[1])
         return NumberFieldElement(parse_polynomial(parts[2]), minpoly)
     if re.fullmatch(r"[+-]?\d+(?:/\d+)?", text):
-        return Fraction(text)
+        return _rational(text)
     try:
         return complex(text) if "j" in text else float(text)
     except ValueError as exc:

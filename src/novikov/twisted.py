@@ -165,7 +165,7 @@ def twisted_coboundary(
 _SIGNS = ({0: 1}, {0: -1})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reduction:
     """The twisted complex over Z[t, 1/t] after pair elimination on units.
 
@@ -318,7 +318,7 @@ def _float_array(rows, ncols, lam):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiProfile:
     """Twisted cohomology dimensions with their computation context."""
 

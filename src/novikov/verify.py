@@ -42,7 +42,7 @@ SUITES = ("theorem21", "nilpotent-vanishing", "sol-nonvanishing")
 __all__ = ["SUITES", "Verdict", "SuiteResult", "run_suite"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     name: str
     passed: bool
@@ -52,7 +52,7 @@ class Verdict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     suite: str
     seed: int

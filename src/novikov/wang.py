@@ -48,14 +48,15 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class FiberCohomologyAction:
     """Square matrices of an automorphism acting on each H^p of the fiber."""
 
-    __slots__ = ("matrices",)
+    matrices: tuple
 
-    def __init__(self, matrices):
+    def __post_init__(self):
         cleaned = []
-        for p, block in enumerate(matrices):
+        for p, block in enumerate(self.matrices):
             if not isinstance(block, Matrix):
                 block = Matrix.from_rows(block) if block else Matrix(0, 0, [])
             if block.nrows != block.ncols:
@@ -64,9 +65,6 @@ class FiberCohomologyAction:
         while cleaned and cleaned[-1].nrows == 0:
             cleaned.pop()
         object.__setattr__(self, "matrices", tuple(cleaned))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FiberCohomologyAction is immutable")
 
     @classmethod
     def from_blocks(cls, blocks: dict) -> "FiberCohomologyAction":
@@ -90,17 +88,11 @@ class FiberCohomologyAction:
             return self.matrices[p]
         return Matrix(0, 0, [])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiberCohomologyAction)
-            and self.matrices == other.matrices
-        )
-
     def __repr__(self):
         return f"FiberCohomologyAction(dims={self.fiber_dims()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WangProfile:
     """Degreewise twisted dimensions of the total space of a circle bundle."""
 

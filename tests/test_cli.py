@@ -263,7 +263,7 @@ def test_validation_errors_exit_2(tmp_path):
             for bad in (0.9, False)
         ),
     )
-    blocks = ([[["1"]]], {"-1": [["2"]], "0": [["1"]]}, {"0": 5})
+    blocks = ([[["1"]]], {"-1": [["2"]], "0": [["1"]]}, {"0": 5}, {"0": [["1/0"]]})
     weights = ([[1, 1, 1]], {"7": [1.0]}, {"0": [1.0, float("inf"), 1.0]}, {"0": 5})
 
     def written(name, payload):
@@ -286,6 +286,13 @@ def test_validation_errors_exit_2(tmp_path):
             ("hodge", "--complex", circle3, "--lambda", "2.0",
              "--weights", written(f"weights{i}", dict(weight_file, weights=w)))
             for i, w in enumerate(weights)
+        ),
+        # JSON true in a vertex map would read as vertex 1, the identity here
+        ("mapping-torus", "--complex", torus2, "--lambda", "2",
+         "--map", written("bool_map", [0, True, 2, 3, 4, 5, 6, 7, 8])),
+        *(
+            ("betti", "--complex", torus2, "--lambda", lam)
+            for lam in ("1/0", "0/0", "nf:x^2-3*x+1:1/0", "nf:x-1/0:x")
         ),
     ]
     for argv in (

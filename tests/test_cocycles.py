@@ -43,6 +43,13 @@ def test_mode_validation():
     assert f.value(1, 0) == -0.5
     with pytest.raises(ValueError):
         ZeroCochain({0: 1}, mode="weird")
+    # JSON true would read as vertex 1
+    with pytest.raises(ValueError):
+        OneCocycle({(False, True): 1})
+    with pytest.raises(ValueError):
+        OneCocycle({(0, True): 1})
+    with pytest.raises(ValueError):
+        ZeroCochain({True: 1})
 
 
 def test_validate_closed_exact_and_missing():

@@ -49,6 +49,8 @@ def test_simplicial_map_validation_and_collapse():
         SimplicialMap(k, k, [0, 1, 2])
     with pytest.raises(InvalidMapError):
         SimplicialMap(k, k, [0, 1, 2, 7])
+    with pytest.raises(InvalidMapError):  # JSON true would read as vertex 1
+        SimplicialMap(k, k, [0, True, 2, 3])
     collapse = SimplicialMap(circle(3), point(), [0, 0, 0])
     assert not collapse.is_isomorphism()
     assert collapse.image_simplex((0, 1)) == (0,)

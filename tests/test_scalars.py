@@ -281,6 +281,10 @@ def test_parse_scalar_literals():
     assert lam == NumberFieldElement.generator(GOLDEN)
     with pytest.raises(ValueError):
         parse_scalar("zebra")
+    # a zero denominator is a malformed literal, not an arithmetic fault
+    for text in ("1/0", "0/0", "nf:x^2-3*x+1:1/0", "nf:x-1/0:x"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
 
 
 def test_scalar_literal_roundtrip():

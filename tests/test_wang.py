@@ -183,7 +183,7 @@ def matrix_rref(m: Matrix):
 
 def _field_constant(m: Matrix, value):
     if m.backend == _NF:
-        return NumberFieldElement.constant(value, m.minpoly)
+        return NumberFieldElement.constant(value, m.entries[0].minpoly)
     return Fraction(value)
 
 
