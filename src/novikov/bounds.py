@@ -58,10 +58,10 @@ def wallis(n: int) -> float:
     """integral_0^pi sin^{n-1} t dt by the recurrence I_m = I_{m-2} (m-1)/m."""
     if n < 2:
         raise ValueError("wallis integral needs n >= 2")
-    values = [math.pi, 2.0]
+    before, last = math.pi, 2.0
     for m in range(2, n):
-        values.append(values[-2] * (m - 1) / m)
-    return values[n - 1]
+        before, last = last, before * (m - 1) / m
+    return last
 
 
 @functools.cache

@@ -30,12 +30,7 @@ from . import __version__
 from .bounds import b_n_detail, bc_limit_check, c_of_b, wallis
 from .constructions import SimplicialMap, cyclic_cover, mapping_torus, product
 from .errors import NovikovError, NumericalError
-from .hodge import (
-    DEFAULT_HARMONIC_THRESHOLD,
-    InnerProduct,
-    _dim_and_gap,
-    laplacian_spectrum,
-)
+from .hodge import DEFAULT_HARMONIC_THRESHOLD, InnerProduct, _dim_and_gap, _spectra
 from .scalars import parse_scalar, scalar_literal
 from .serialization import (
     SCHEMA,
@@ -280,18 +275,15 @@ def _run_cover(args, lams):
 
 def _run_hodge(args, lams):
     [(k, theta)] = _load_with_cocycles(args.complex)
-    weights = None
+    weights = InnerProduct(k, load_weights(args.weights) if args.weights else None)
     inputs = {"complex": _input_entry(args.complex)}
     if args.weights:
-        weights = InnerProduct(k, load_weights(args.weights))
         inputs["weights"] = _input_entry(args.weights)
     threshold = DEFAULT_HARMONIC_THRESHOLD if args.threshold is None else args.threshold
     entries = []
     for lit, lam in lams:
-        dims, gaps = zip(*(
-            _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)
-            for p in range(k.dim + 1)
-        ))
+        spectra = _spectra(k, theta, lam, weights, range(k.dim + 1))
+        dims, gaps = zip(*(_dim_and_gap(s, threshold) for s in spectra))
         entries.append(
             {"lambda": lit, "harmonic_dims": list(dims), "spectral_gaps": list(gaps)}
         )

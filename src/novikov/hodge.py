@@ -18,24 +18,29 @@ A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, built in one helper, ``_scaled``.
 In the coordinates W_p^{1/2} x the weighted metric is the plain one, the
 adjoint is A^H, and W_p^{1/2} Lap_p W_p^{-1/2} = A_p^H A_p + A_{p-1} A_{p-1}^H,
 whose two terms have orthogonal ranges since delta_p delta_{p-1} = 0.  So
-nothing forms Lap_p or an adjoint.  ``laplacian_spectrum`` takes the
+nothing forms Lap_p or an adjoint.  The spectrum in degree p is the
 nonzero eigenvalues of two Gram matrices, each formed on the smaller side
-of its A (A^H A or A A^H), and pads them with zeros (Eckmann, 1944;
-Horak-Jost, Adv. Math. 2013).  ``hodge_decompose`` projects onto im A_{p-1}
-and im A_p^H, and ``harmonic_representative`` off im A_0, by plain least
-squares.  The full adjoint and Laplacian live on only in the tests, as the
-declared cross-check.
+of its A (A^H A or A A^H), padded with zeros (Eckmann, 1944; Horak-Jost,
+Adv. Math. 2013).  ``_spectra``, the one routine that forms and solves
+them, scales each A_q of a range of degrees once and solves each piece
+once: ``novikov hodge`` reads all degrees from one pass, and
+``laplacian_spectrum`` is its one-degree window.  ``hodge_decompose``
+projects onto im A_{p-1} and im A_p^H, and ``harmonic_representative`` off
+im A_0, by plain least squares.  The full adjoint and Laplacian live on
+only in the tests, as the declared cross-check.
 
-When every coboundary entry has an exactly zero imaginary part, as for a
-positive lambda, the coboundaries are float64 and so are the scaled A_q and
-the Gram matrices: the products and the eigensolver run in real arithmetic
-at about half the cost of complex Hermitian ones.  The decision reads the
-assembled entries before any array is allocated, not the sign of lambda or
-the kind of theta: the complex power leaves an imaginary part at a negative
-lambda once the exponent is large (complex(-2.0) ** complex(101) has
-imaginary part 2.2e16), and an entry test keeps the real parts bit for bit
-either way.  A scaled coboundary, Gram matrix or Hodge decomposition whose
-products leave the float range raises NumericalError.
+When every coboundary entry of a call has an exactly zero imaginary part, as
+for a positive lambda, the scaled A_q are float64 and so are the Gram
+matrices: the products and the eigensolver run in real arithmetic at about
+half the cost of complex Hermitian ones.  The choice is made once per call,
+so in an all-degree pass a real degree next to a complex one is solved in
+complex arithmetic.  The decision reads the assembled entries before any
+array is allocated, not the sign of lambda or the kind of theta: the complex
+power leaves an imaginary part at a negative lambda once the exponent is
+large (complex(-2.0) ** complex(101) has imaginary part 2.2e16), and an
+entry test keeps the real parts bit for bit either way.  A scaled
+coboundary, Gram matrix or Hodge decomposition whose products leave the
+float range raises NumericalError.
 
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
@@ -124,30 +129,6 @@ def _resolve(k, weights) -> InnerProduct:
     return InnerProduct(k, weights)
 
 
-def _deltas(k, theta, lam, *degrees) -> list[np.ndarray]:
-    """Float coboundaries in the given degrees, each assembled once.
-
-    The assembled entries are read before any array is allocated: the arrays
-    are float64 when no entry has a nonzero imaginary part, complex
-    otherwise.  Outside degrees 0..dim delta is the zero map.
-    """
-    lam = twisted._local_system(k, theta, lam, backend="float")[0]
-    assembled = []
-    for p in degrees:
-        # read through the module at call time: the one assembly in twisted
-        rows = twisted._coboundary_rows(k, theta, lam, p) if 0 <= p <= k.dim else []
-        at = [r for r, row in enumerate(rows) for _ in row], [c for row in rows for c in row]
-        vals = np.array([v for row in rows for v in row.values()], dtype=complex)
-        assembled.append((p, at, vals))
-    real = not any(vals.imag.any() for _, _, vals in assembled)
-    deltas = []
-    for p, at, vals in assembled:
-        d = np.zeros((k.n_simplices(p + 1), k.n_simplices(p)), dtype=float if real else complex)
-        d[at] = vals.real if real else vals
-        deltas.append(d)
-    return deltas
-
-
 def _require_finite(what: str, *arrays) -> None:
     # finite weights can still multiply past the float range in the products,
     # which run with numpy's overflow warnings off and are checked here
@@ -158,45 +139,71 @@ def _require_finite(what: str, *arrays) -> None:
 def _scaled(k, theta, lam, w: InnerProduct, what: str, *degrees) -> list[np.ndarray]:
     """The scaled coboundaries A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}.
 
-    The one place the inner product enters an operator: each delta_q is
-    assembled once by ``_deltas`` and scaled in place, since it is this
-    call's own array.
+    The one place the inner product enters an operator.  Each delta_q is
+    assembled once, and its entries are read before any array is allocated:
+    the arrays are float64 when no entry has a nonzero imaginary part,
+    complex otherwise.  Outside degrees 0..dim delta is the zero map.
     """
-    scaled = _deltas(k, theta, lam, *degrees)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for q, a in zip(degrees, scaled):
-            a *= np.sqrt(w.vector(q + 1))[:, None]
-            a /= np.sqrt(w.vector(q))
+    lam = twisted._local_system(k, theta, lam, backend="float")[0]
+    assembled = []
+    for q in degrees:
+        # read through the module at call time: the one assembly in twisted
+        rows = twisted._coboundary_rows(k, theta, lam, q) if 0 <= q <= k.dim else []
+        at = [r for r, row in enumerate(rows) for _ in row], [c for row in rows for c in row]
+        vals = np.array([v for row in rows for v in row.values()], dtype=complex)
+        assembled.append((q, at, vals))
+    real = not any(vals.imag.any() for _, _, vals in assembled)
+    scaled = []
+    for q, (r, c), vals in assembled:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (vals.real if real else vals) * np.sqrt(w.vector(q + 1))[r]
+            vals /= np.sqrt(w.vector(q))[c]
+        a = np.zeros((k.n_simplices(q + 1), k.n_simplices(q)), dtype=vals.dtype)
+        a[r, c] = vals
+        scaled.append(a)
     _require_finite(what, *scaled)
     return scaled
 
 
-def laplacian_spectrum(
-    k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None
-) -> np.ndarray:
-    """Ascending real eigenvalues of the degree-p twisted Laplacian.
+def _spectra(k, theta, lam, w, degrees: range) -> list[np.ndarray]:
+    """Ascending Laplacian spectra in a range of consecutive degrees.
 
-    The n_p largest of the Gram pieces' eigenvalues and n_p zeros (see the
-    module docstring).  Anything below them is a zero in exact arithmetic,
+    A_{lo-1}..A_hi are scaled in one ``_scaled`` call and each non-empty
+    Gram piece is solved once, on its smaller side.  Degree p takes the n_p
+    largest of eig Gram(A_{p-1}), eig Gram(A_p) and n_p zeros (see the
+    module docstring); anything below them is a zero in exact arithmetic,
     since rank A_p + rank A_{p-1} <= n_p.
     """
-    n = k.n_simplices(p)
-    if n == 0:
-        return np.zeros(0)
-    what = f"degree {p} Laplacian"
-    pieces = [np.zeros(n)]
-    for a in _scaled(k, theta, lam, _resolve(k, weights), what, p - 1, p):
+    lo, hi = degrees[0], degrees[-1]
+    what = f"degree {lo} Laplacian" if lo == hi else f"degree {lo}..{hi} Laplacian"
+    span = range(lo - 1, hi + 1)
+    eigs = []
+    for q, a in zip(span, _scaled(k, theta, lam, w, what, *span)):
         if not a.size:
+            eigs.append(np.zeros(0))
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             ah = a.conj().T
             gram = a @ ah if a.shape[0] < a.shape[1] else ah @ a
         _require_finite(what, gram)
         try:
-            pieces.append(np.linalg.eigvalsh(gram))
+            eigs.append(np.linalg.eigvalsh(gram))
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigenvalue solve failed in degree {p}: {exc}") from exc
-    return np.sort(np.concatenate(pieces))[-n:]
+            raise NumericalError(f"eigenvalue solve failed on Gram(A_{q}): {exc}") from exc
+    spectra = []
+    for below, here, p in zip(eigs, eigs[1:], degrees):
+        n = k.n_simplices(p)
+        values = np.sort(np.concatenate([np.zeros(n), below, here]))
+        spectra.append(values[values.size - n :])
+    return spectra
+
+
+def laplacian_spectrum(
+    k: SimplicialComplex, theta: OneCocycle, lam, p: int, weights=None
+) -> np.ndarray:
+    """Ascending real eigenvalues of the degree-p twisted Laplacian: the
+    one-degree window of ``_spectra``."""
+    return _spectra(k, theta, lam, _resolve(k, weights), range(p, p + 1))[0]
 
 
 def _singular_values(spectrum: np.ndarray) -> np.ndarray:

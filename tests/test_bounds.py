@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -40,6 +41,22 @@ def test_wallis_matches_quadrature():
         assert abs(wallis(n) - direct) < 1e-12
         oracle, _ = quad(lambda t: math.sin(t) ** (n - 1), 0, math.pi, epsrel=1e-13)
         assert abs(wallis(n) - oracle) < 1e-12
+
+
+def test_wallis_keeps_two_running_values():
+    # the list recurrence it replaced, value for value
+    values = [math.pi, 2.0]
+    for m in range(2, 60):
+        values.append(values[-2] * (m - 1) / m)
+    assert [wallis(n) for n in range(2, 61)] == values[1:]
+    # and no list of n floats: the old one peaked at 32 MB for n = 10**6
+    tracemalloc.start()
+    try:
+        wallis(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def mpmath_root(n, b, start):

@@ -3,9 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from novikov import cli, hodge
+from novikov import cli, twisted
 from novikov.bounds import small_b_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -370,21 +371,29 @@ def test_numerical_errors_exit_3(tmp_path):
         assert b"Warning" not in proc.stderr, argv
 
 
-def test_hodge_solves_each_laplacian_spectrum_once(monkeypatch, capsys):
-    degrees = []
-    solve = hodge.laplacian_spectrum
+def test_hodge_builds_each_operator_once(monkeypatch, capsys):
+    # torus3 has 27/189/324/162 simplices: per lambda entry delta_0..delta_3
+    # are each assembled once and each Gram piece is solved once, on its
+    # smaller side
+    solves, degrees = [], []
+    eigvalsh, assemble = np.linalg.eigvalsh, twisted._coboundary_rows
 
-    def counting(k, theta, lam, p, weights=None):
+    def solving(a):
+        solves.append(a.shape[0])
+        return eigvalsh(a)
+
+    def assembling(k, theta, lam, p):
         degrees.append(p)
-        return solve(k, theta, lam, p, weights)
+        return assemble(k, theta, lam, p)
 
-    monkeypatch.setattr(hodge, "laplacian_spectrum", counting)
-    monkeypatch.setattr(cli, "laplacian_spectrum", counting, raising=False)
-    argv = ["hodge", "--complex", str(FIXTURES / "torus2.json")]
-    assert cli.main(argv + ["--lambda", "1.0", "--lambda", "2.0"]) == 0
-    assert degrees == [0, 1, 2] * 2
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+    monkeypatch.setattr(twisted, "_coboundary_rows", assembling)
+    argv = ["hodge", "--complex", str(FIXTURES / "torus3.json")]
+    assert cli.main(argv + ["--lambda", "1.0", "--lambda", "-1+0.5j"]) == 0
+    assert solves == [27, 189, 162] * 2
+    assert degrees == [0, 1, 2, 3] * 2
     entries = json.loads(capsys.readouterr().out)["results"]["entries"]
-    assert [e["harmonic_dims"] for e in entries] == [[1, 2, 1], [0, 0, 0]]
+    assert [e["harmonic_dims"] for e in entries] == [[1, 3, 3, 1], [0, 0, 0, 0]]
 
 
 def test_negative_literals_follow_lambda_as_separate_arguments(tmp_path):

@@ -15,7 +15,7 @@ from novikov.cocycles import (
 )
 from novikov.complexes import SimplicialComplex, circle, point
 from novikov.constructions import cyclic_cover, product, torus_grid
-from novikov.errors import BackendMismatchError, NumericalError
+from novikov.errors import BackendMismatchError, IncompleteCocycleError, NumericalError
 from novikov import hodge
 from novikov.hodge import (
     DEFAULT_HARMONIC_THRESHOLD,
@@ -275,6 +275,19 @@ def test_degenerate_degrees():
     k = product(circle(3), circle(3)).complex
     assert laplacian_spectrum(c, ct, 2.0, 1).shape == (3,)
     assert k.n_simplices(2) == 18
+    # a degree with no simplices still checks its inputs, as degree 0 does
+    incomplete = OneCocycle({(0, 1): 1})
+    for p in (-1, c.dim + 1):
+        for lam in (float("nan"), "x"):
+            with pytest.raises(ValueError):
+                harmonic_dim(c, ct, lam, p)
+            with pytest.raises(ValueError):
+                laplacian_spectrum(c, ct, lam, p)
+        with pytest.raises(IncompleteCocycleError):
+            harmonic_dim(c, incomplete, 2.0, p)
+        with pytest.raises(IncompleteCocycleError):
+            laplacian_spectrum(c, incomplete, 2.0, p)
+
 
 def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
     k, theta = torus_fixture()
@@ -370,8 +383,11 @@ def real_path_case(shape, seed):
 @example(shape="weighted torus3", lam=-1.0, seed=2)
 def test_spectrum_matches_complex_reference(shape, lam, seed):
     k, theta, w = real_path_case(shape, seed)
+    # the all-degree pass of ``novikov hodge`` gives the per-degree spectra
+    spectra = hodge._spectra(k, theta, lam, w, range(k.dim + 1))
     for p in range(k.dim + 1):
         spectrum = laplacian_spectrum(k, theta, lam, p, w)
+        assert spectra[p].tobytes() == spectrum.tobytes(), (shape, lam, p)
         reference = complex_hodge_spectrum(k, theta, lam, p, w)
         assert np.abs(spectrum - reference).max() <= 1e-12 * reference.max()
         dim, gap = hodge._dim_and_gap(spectrum, DEFAULT_HARMONIC_THRESHOLD)
@@ -384,9 +400,8 @@ def test_spectrum_matches_complex_reference(shape, lam, seed):
 
 def test_real_entries_choose_real_arithmetic():
     def dtypes(k, theta, lam):
-        deltas = hodge._deltas(k, theta, lam, *range(-1, k.dim + 1))
-        scaled = hodge._scaled(k, theta, lam, InnerProduct(k), "scaling", 0, 1)
-        return {d.dtype for d in deltas} | {a.dtype for a in scaled}
+        scaled = hodge._scaled(k, theta, lam, InnerProduct(k), "scaling", *range(-1, k.dim + 1))
+        return {a.dtype for a in scaled}
 
     k, theta = load_complex(FIXTURES / "torus3.json")
     assert dtypes(k, theta, 0.5) == {np.dtype(np.float64)}
@@ -415,7 +430,8 @@ def test_spectrum_is_solved_on_the_smaller_gram_pieces(monkeypatch):
     k, theta = load_complex(FIXTURES / "torus3.json")
     # real entries are assembled into float64 arrays of their own, not
     # into complex ones read through a .real view
-    assert all(d.flags.owndata for d in hodge._deltas(k, theta, 2.0, *range(-1, k.dim + 1)))
+    scaled = hodge._scaled(k, theta, 2.0, InnerProduct(k), "scaling", *range(-1, k.dim + 1))
+    assert all(a.flags.owndata for a in scaled)
     w = InnerProduct(k)
     expected = {0: [27], 1: [27, 189], 2: [189, 162], 3: [162]}
     for lam, dtype in ((2.0, np.float64), (-1 + 0.5j, complex)):
