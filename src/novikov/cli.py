@@ -8,10 +8,11 @@ numerical failures, 64 usage errors.
 
 Every job has one shape: ``main`` parses the lambdas of the commands that
 take them, the runner computes and returns the backends it ran in, and
-``main`` adds ``timing_seconds`` to the report exactly when ``"float"`` is
-among them (``hodge`` and ``bounds`` are float computations, ``verify`` is
-exact).  Reports are dumped with sorted keys, so an exact job's reruns
-produce byte-identical files.  Lambda literals are parsed as written;
+``main`` names every file argument given under ``inputs`` with its digest
+and adds ``timing_seconds`` exactly when ``"float"`` is among the backends
+(``hodge`` and ``bounds`` are float computations, ``verify`` is exact).
+Reports are dumped with sorted keys, so an exact job's reruns produce
+byte-identical files.  Lambda literals are parsed as written;
 ``--backend`` and ``--tolerance`` go to the library calls, whose one
 backend decision applies them.  An absent ``--tolerance`` or
 ``--threshold`` takes the library default and stays out of the report's
@@ -153,10 +154,6 @@ def _parse_lambdas(args, parser):
     return lams
 
 
-def _input_entry(path: str) -> dict:
-    return {"path": path, "sha256": file_digest(path)}
-
-
 def _table(headers, rows) -> str:
     widths = [len(h) for h in headers]
     text_rows = [[str(c) for c in row] for row in rows]
@@ -197,7 +194,7 @@ def _run_betti(args, lams):
     profiles = [_betti(args, k, theta, lam) for _, lam in lams]
     results = {"counts": list(k.counts()), "profiles": [p.to_json() for p in profiles]}
     backends = [p.backend for p in profiles]
-    return results, {"complex": _input_entry(args.complex)}, backends, _profile_table(profiles)
+    return results, backends, _profile_table(profiles)
 
 
 def _run_wang(args, lams):
@@ -205,7 +202,7 @@ def _run_wang(args, lams):
     profiles = [wang_dims(action, lam, args.tolerance, args.backend) for _, lam in lams]
     results = {"profiles": [p.to_json() for p in profiles]}
     backends = [p.backend for p in profiles]
-    return results, {"action": _input_entry(args.action)}, backends, _profile_table(profiles)
+    return results, backends, _profile_table(profiles)
 
 
 def _run_product(args, lams):
@@ -226,8 +223,7 @@ def _run_product(args, lams):
         ("lambda", "product dims", "convolution"),
         [(scalar_literal(total.lam), _dims_text(total), convolution_ok) for *_, total in triples],
     )
-    inputs = {"left": _input_entry(args.left), "right": _input_entry(args.right)}
-    return results, inputs, [p.backend for triple in triples for p in triple], table
+    return results, [p.backend for triple in triples for p in triple], table
 
 
 def _load_map(path, k) -> SimplicialMap:
@@ -249,8 +245,7 @@ def _run_mapping_torus(args, lams):
         "counts": list(torus.complex.counts()),
         "profiles": [p.to_json() for p in profiles],
     }
-    inputs = {"complex": _input_entry(args.complex), "map": _input_entry(args.map)}
-    return results, inputs, [p.backend for p in profiles], _profile_table(profiles)
+    return results, [p.backend for p in profiles], _profile_table(profiles)
 
 
 def _run_cover(args, lams):
@@ -270,15 +265,12 @@ def _run_cover(args, lams):
         [(scalar_literal(base.lam), _dims_text(base), _dims_text(lifted)) for base, lifted in pairs],
     )
     backends = [p.backend for pair in pairs for p in pair]
-    return results, {"complex": _input_entry(args.complex)}, backends, table
+    return results, backends, table
 
 
 def _run_hodge(args, lams):
     [(k, theta)] = _load_with_cocycles(args.complex)
     weights = InnerProduct(k, load_weights(args.weights) if args.weights else None)
-    inputs = {"complex": _input_entry(args.complex)}
-    if args.weights:
-        inputs["weights"] = _input_entry(args.weights)
     threshold = DEFAULT_HARMONIC_THRESHOLD if args.threshold is None else args.threshold
     entries = []
     for lit, lam in lams:
@@ -299,7 +291,7 @@ def _run_hodge(args, lams):
             for e in entries
         ],
     )
-    return results, inputs, ["float"], table
+    return results, ["float"], table
 
 
 def _run_bounds(args, lams):
@@ -322,21 +314,19 @@ def _run_bounds(args, lams):
         for row in table_data.rows:
             rows.append((f"b*C at b={row.b:g}", f"{row.bc:.12g} (gap {row.gap:.3g})"))
     table = _table(("quantity", "value"), rows)
-    return results, {}, ["float"], table
+    return results, ["float"], table
 
 
 def _run_verify(args, lams):
     k = theta = None
-    inputs = {}
     if args.complex:
         k, theta = load_complex(args.complex)
-        inputs["complex"] = _input_entry(args.complex)
     result = run_suite(args.suite, k, theta, seed=args.seed, trials=args.trials)
     table = _table(
         ("check", "verdict"),
         [(v.name, "pass" if v.passed else "FAIL") for v in result.verdicts],
     )
-    return result.to_json(), inputs, ["exact"], table
+    return result.to_json(), ["exact"], table
 
 
 _RUNNERS = {
@@ -372,7 +362,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         lams = _parse_lambdas(args, parser) if "lams" in args else None
-        results, inputs, backends, table = _RUNNERS[args.command](args, lams)
+        results, backends, table = _RUNNERS[args.command](args, lams)
+        inputs = {
+            name: {"path": path, "sha256": file_digest(path)}
+            for name in ("action", "complex", "left", "map", "right", "weights")
+            if (path := getattr(args, name, None))
+        }
     except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return NUMERICAL_EXIT

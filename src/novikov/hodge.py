@@ -124,9 +124,9 @@ class InnerProduct:
 def _resolve(k, weights) -> InnerProduct:
     if weights is None:
         return InnerProduct(k)
-    if isinstance(weights, InnerProduct):
-        return weights
-    return InnerProduct(k, weights)
+    if not (isinstance(weights, InnerProduct) and weights.complex == k):
+        raise ValueError("weights must be None or an InnerProduct on this complex")
+    return weights
 
 
 def _require_finite(what: str, *arrays) -> None:

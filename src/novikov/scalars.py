@@ -556,7 +556,7 @@ def _float_rank(a: np.ndarray, tolerance: float, floor: float = 0.0):
     if a.size == 0:
         return 0, False
     s = np.linalg.svd(a, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return 0, False
     cut = tolerance * max(float(s[0]), floor)
     rnk = int(np.count_nonzero(s > cut))
@@ -567,8 +567,8 @@ def _float_rank(a: np.ndarray, tolerance: float, floor: float = 0.0):
 def rank_with_flag(m: Matrix, tolerance: float | None = None):
     """(rank, ill_conditioned) of a matrix in its own backend.
 
-    The one dense-rank entry; in the package it ranks Wang's square
-    blocks.  The tolerance applies to float; the flag is always False on
+    The one dense-rank entry; the package ranks through the two kernels
+    directly.  The tolerance applies to float; the flag is always False on
     the exact backends.
     """
     # a bare matrix meets no lambda; 1 is exact and leaves the join to m

@@ -109,7 +109,10 @@ def _weight(lam):
     """x -> lam**x, the transport weight at a lambda from ``_local_system``.
 
     Exact weights are Fraction or NumberFieldElement; float weights are
-    complex, and one past the float range raises NumericalError.
+    complex, and one past the float range raises NumericalError.  CPython
+    takes a negative integer power as 1 / z**-x, which is nan once z**-x
+    overflows, so a non-finite power is taken again through ``_power``:
+    one that only underflows comes back finite.
     """
     if not isinstance(lam, (float, complex)):
         return lambda x: lam ** x
@@ -118,6 +121,8 @@ def _weight(lam):
     def weight(x):
         try:
             w = z ** complex(x)
+            if not cmath.isfinite(w):
+                w = _power(z, x)
             if cmath.isfinite(w):
                 return w
         except (OverflowError, ZeroDivisionError):
@@ -279,7 +284,8 @@ def _power(lam: complex, x):
     """lam**x = exp(x log lam) on the principal branch, where |lam**x| <= 1.
 
     An integer power multiplies out lam or 1/lam, whichever is at most 1 in
-    magnitude, so it neither overflows nor leaves the real axis.
+    magnitude, so it never overflows; for |x| <= 100 it also never leaves
+    the real axis, and past that CPython takes the polar form.
     """
     if x != int(x):
         return lam ** complex(x)
@@ -330,15 +336,14 @@ class BettiProfile:
     ill_conditioned: bool
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "lambda": scalar_literal(self.lam),
             "backend": self.backend,
             "dims": list(self.dims),
             "euler": self.euler,
             "ill_conditioned": self.ill_conditioned,
+            "tolerance": self.tolerance,
         }
-        out["tolerance"] = self.tolerance
-        return out
 
 
 def betti_profile(

@@ -117,7 +117,7 @@ def _check_duality(k, theta):
                     "reversed_dual": list(reversed_dual),
                 },
             )
-        if nontrivial and lam != 1 and (dims[0] != 0 or dims[n] != 0):
+        if nontrivial and (dims[0] != 0 or dims[n] != 0):
             return Verdict(
                 "endpoint-vanishing",
                 False,
@@ -145,7 +145,7 @@ def _check_euler(k, theta, rng, trials):
     return Verdict("euler-count", True, {"trials": trials, "euler": chi})
 
 
-def _check_kunneth(k, theta, rng):
+def _check_kunneth(k, theta):
     other = circle(3)
     gamma = OneCocycle({e: 0 for e in other.edges})
     prod = product(k, other)
@@ -167,7 +167,7 @@ def _check_kunneth(k, theta, rng):
     return Verdict("product-convolution", True, {"second_factor": "circle(3)"})
 
 
-def _check_cover(k, theta, rng):
+def _check_cover(k, theta):
     for sheets in (2, 3):
         cover = cyclic_cover(k, theta, sheets)
         for lam in (Fraction(2), Fraction(-1)):
@@ -193,8 +193,8 @@ def _theorem21(k, theta, seed, trials):
         _check_gauge(k, theta, rng, trials),
         _check_duality(k, theta),
         _check_euler(k, theta, rng, trials),
-        _check_kunneth(k, theta, rng),
-        _check_cover(k, theta, rng),
+        _check_kunneth(k, theta),
+        _check_cover(k, theta),
     )
     return SuiteResult("theorem21", seed, verdicts)
 

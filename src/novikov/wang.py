@@ -25,17 +25,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cocycles import zero_cocycle
 from .complexes import SimplicialComplex
 from .constructions import SimplicialMap
-from .errors import ConstructionError
+from .errors import ConstructionError, NumericalError
 from .scalars import (
     Matrix,
     _arithmetic,
-    _float_of,
+    _exact_rank_columns,
+    _float_rank,
     _join,
     _reduce_columns,
-    rank_with_flag,
     scalar_literal,
 )
 from .twisted import _coboundary_rows
@@ -114,16 +116,6 @@ class WangProfile:
         }
 
 
-def _shifted_block(block: Matrix, lam, backend: str) -> Matrix:
-    n = block.nrows
-    ent = list(block.entries)
-    # an exact entry past the float range raises NumericalError, not OverflowError
-    to_float = backend == "float" and block.backend == "exact"
-    for i in range(0, n * n, n + 1):
-        ent[i] = (_float_of(ent[i]) if to_float else ent[i]) - lam
-    return Matrix(n, n, ent)
-
-
 def wang_dims(
     action: FiberCohomologyAction, lam, tolerance: float | None = None, backend: str | None = None
 ) -> WangProfile:
@@ -139,18 +131,21 @@ def wang_dims(
     entries = _join(block.backend for block in action.matrices)
     lam, backend, tol = _arithmetic(lam, entries, backend=backend, tolerance=tolerance)
     nulls = []
-    for p in range(action.top_degree + 1):
-        block = action.block(p)
-        if block.nrows == 0:
-            nulls.append(0)
-            continue
-        shifted = _shifted_block(block, lam, backend)
-        nulls.append(block.nrows - rank_with_flag(shifted, tolerance=tol)[0])
-    dims = []
-    for p in range(action.top_degree + 2):
-        here = nulls[p] if p <= action.top_degree else 0
-        below = nulls[p - 1] if p >= 1 else 0
-        dims.append(here + below)
+    for p, block in enumerate(action.matrices):
+        if backend == "float":
+            shifted = block.to_numpy()  # NumericalError for an exact entry past the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifted.flat[:: block.nrows + 1] -= lam
+            if not np.isfinite(shifted).all():
+                raise NumericalError(f"degree {p} block minus lambda leaves the float range")
+            rank = _float_rank(shifted, tol)[0]
+        else:
+            rank = _exact_rank_columns(
+                {j: v - lam if i == j else v for j, v in enumerate(row)}
+                for i, row in enumerate(block.rows())
+            )
+        nulls.append(block.nrows - rank)
+    dims = [a + b for a, b in zip(nulls + [0], [0] + nulls)]
     euler = sum((-1) ** p * d for p, d in enumerate(dims))
     return WangProfile(
         dims=tuple(dims),

@@ -8,6 +8,7 @@ import pytest
 
 from novikov import cli, twisted
 from novikov.bounds import small_b_limit
+from novikov.serialization import file_digest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -348,6 +349,12 @@ def test_numerical_errors_exit_3(tmp_path):
             {"format": "novikov/action", "schema": "v1", "blocks": {"0": [[huge]]}}
         )
     )
+    edge_action = tmp_path / "edge_action.json"
+    edge_action.write_text(
+        json.dumps(
+            {"format": "novikov/action", "schema": "v1", "blocks": {"0": [["1.7e308"]]}}
+        )
+    )
     for argv in (
         ("betti", "--complex", str(steep), "--lambda", "10.0"),
         ("hodge", "--complex", str(steep), "--lambda", "10.0"),
@@ -358,6 +365,8 @@ def test_numerical_errors_exit_3(tmp_path):
         ("hodge", "--complex", str(FIXTURES / "torus2.json"), "--lambda=1+1e308j"),
         ("wang", "--action", str(action), "--lambda", "2.0"),
         ("wang", "--action", str(action), "--backend", "float", "--lambda", "2"),
+        # 1.7e308 - (-1.7e308) on the diagonal of M_0 - lam I
+        ("wang", "--action", str(edge_action), "--lambda=-1.7e308"),
         ("bounds", "--n", "3", "--x", "1e200"),
         ("bounds", "--n", "3", "--x", "1e300"),
         ("bounds", "--n", "2", "--b", "1e-310"),
@@ -443,6 +452,38 @@ def test_timing_seconds_iff_a_computation_ran_in_float(capsys):
         assert cli.main(argv) == 0, argv
         report = json.loads(capsys.readouterr().out)
         assert ("timing_seconds" in report) is expected, argv
+
+
+def test_inputs_name_the_file_arguments_given(tmp_path, capsys):
+    torus2, circle3 = str(FIXTURES / "torus2.json"), str(FIXTURES / "circle3.json")
+    weights = tmp_path / "weights.json"
+    weights.write_text(
+        json.dumps({"format": "novikov/weights", "schema": "v1", "weights": {"0": [1, 2, 3]}})
+    )
+    jobs = (
+        ["betti", "--complex", circle3, "--lambda", "2"],
+        ["wang", "--action", str(FIXTURES / "exm13.json"), "--lambda", "2"],
+        ["product", "--left", circle3, "--right", torus2, "--lambda", "2"],
+        ["mapping-torus", "--complex", torus2, "--map", str(FIXTURES / "torus2_flip_map.json"),
+         "--lambda", "2"],
+        ["cover", "--complex", circle3, "--sheets", "2", "--lambda", "2"],
+        ["hodge", "--complex", circle3, "--lambda", "2"],
+        ["hodge", "--complex", circle3, "--weights", str(weights), "--lambda", "2"],
+        ["bounds", "--n", "3", "--b", "1"],
+        ["verify", "--suite", "theorem21", "--complex", circle3, "--trials", "1"],
+        ["verify", "--suite", "nilpotent-vanishing"],
+    )
+    for argv in jobs:
+        assert cli.main(argv) == 0, argv
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        given = {
+            flag[2:]: path
+            for flag, path in zip(argv, argv[1:])
+            if flag in ("--action", "--complex", "--left", "--map", "--right", "--weights")
+        }
+        assert inputs == {
+            name: {"path": path, "sha256": file_digest(path)} for name, path in given.items()
+        }, argv
 
 
 def test_every_subcommand_has_help(capsys):

@@ -264,8 +264,32 @@ def test_inner_product_validation():
         for weights in ({7: [1.0]}, {-1: [1.0]}, {0: [1.0, float("inf"), 1.0]}):
             with pytest.raises(ValueError):
                 InnerProduct(k, weights)
+        # weights are an InnerProduct on the complex of the call, or None
+        theta3, theta4 = winding_theta(3), winding_theta(4)
+        for kk, theta, weights in (
+            (k, theta3, InnerProduct(circle(4), {0: [1, 2, 3, 4]})),
+            (circle(4), theta4, InnerProduct(k)),
+            (k, theta3, {0: [1.0, 2.0, 3.0]}),
+        ):
+            with pytest.raises(ValueError):
+                laplacian_spectrum(kk, theta, 2.0, 0, weights)
     w = InnerProduct(k, {0: [2.0, 2.0, 2.0]})
     assert w.pairing(0, [1, 1, 1], [1, 1, 1]) == 6.0
+
+
+def test_weights_that_underflow_answer_like_their_mirror():
+    # CPython takes 1e10 ** -40 as 1 / 1e10 ** 40, which is nan; the weight is
+    # 1e-400, as 1e-10 ** 40 is
+    k = circle(3)
+    for w, lam in ((-40, 1e10), (-40, -1e10), (40, 1e-10)):
+        theta = winding_theta(3, w)
+        assert betti_profile(k, theta, lam).dims == (0, 0)
+        assert [harmonic_dim(k, theta, lam, p) for p in (0, 1)] == [0, 0]
+    for w, lam in ((40, 1e10), (-40, 1e-10)):
+        with pytest.raises(NumericalError):
+            betti_profile(k, winding_theta(3, w), lam)
+        with pytest.raises(NumericalError):
+            laplacian_spectrum(k, winding_theta(3, w), lam, 0)
 
 
 def test_degenerate_degrees():

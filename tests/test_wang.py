@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import boundary, dense, from_dense
-from novikov import wang
+from novikov import scalars, wang
 from novikov.cocycles import OneCocycle, zero_cocycle
 from novikov.complexes import circle
 from novikov.constructions import (
@@ -377,6 +377,41 @@ def test_induced_action_builds_only_square_cohomology_blocks(monkeypatch):
         action = induced_action(k, phi)
         assert action.fiber_dims() == (1, 2, 1)
         assert shapes == [(d, d) for d in action.fiber_dims()]
+
+
+def test_wang_dims_ranks_through_the_two_kernels(monkeypatch):
+    # one backend decision per call, and M_p - lam I is never a Matrix
+    k, phi = next(square_block_cases())
+    action = induced_action(k, phi)
+    calls = []
+    arithmetic, rank_with_flag, init = scalars._arithmetic, scalars.rank_with_flag, Matrix.__init__
+
+    def deciding(*args, **kwargs):
+        calls.append("_arithmetic")
+        return arithmetic(*args, **kwargs)
+
+    def ranking(*args, **kwargs):
+        calls.append("rank_with_flag")
+        return rank_with_flag(*args, **kwargs)
+
+    def building(self, nrows, ncols, entries):
+        calls.append("Matrix")
+        init(self, nrows, ncols, entries)
+
+    for module in (scalars, wang):
+        monkeypatch.setattr(module, "_arithmetic", deciding)
+        monkeypatch.setattr(module, "rank_with_flag", ranking, raising=False)
+    monkeypatch.setattr(Matrix, "__init__", building)
+    for lam, dims in (
+        (Fraction(1), (1, 1, 1, 1)),
+        (1.0, (1, 1, 1, 1)),
+        (Fraction(2), (0, 0, 0, 0)),
+        (2.0, (0, 0, 0, 0)),
+        (parse_scalar("nf:x^2+1:x"), (0, 0, 0, 0)),
+    ):
+        calls.clear()
+        assert wang_dims(action, lam).dims == dims
+        assert calls == ["_arithmetic"], lam
 
 
 def test_pullback_is_cochain_map():
