@@ -14,23 +14,27 @@ float up front by the backend decision of ``scalars``, which refuses a
 number-field lambda and raises NumericalError past the float range.
 
 Every product reads the scaled coboundaries
-A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, built in one helper, ``_scaled``.
-In the coordinates W_p^{1/2} x the weighted metric is the plain one, the
+A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, built in one helper, ``_scaled``,
+as their nonzero entries: a row of A_q holds q + 2 of them.  In the
+coordinates W_p^{1/2} x the weighted metric is the plain one, the
 adjoint is A^H, and W_p^{1/2} Lap_p W_p^{-1/2} = A_p^H A_p + A_{p-1} A_{p-1}^H,
 whose two terms have orthogonal ranges since delta_p delta_{p-1} = 0.  So
 nothing forms Lap_p or an adjoint.  The spectrum in degree p is the
 nonzero eigenvalues of two Gram matrices, each formed on the smaller side
 of its A (A^H A or A A^H), padded with zeros (Eckmann, 1944; Horak-Jost,
-Adv. Math. 2013).  ``_spectra``, the one routine that forms and solves
-them, scales each A_q of a range of degrees once and solves each piece
+Adv. Math. 2013).  ``_gram`` forms each piece from the entries, summing the
+products within each row or column, so no dense A is allocated and nothing
+is multiplied by its zeros.  ``_spectra``, the one routine that solves the
+pieces, scales each A_q of a range of degrees once and solves each piece
 once: ``novikov hodge`` reads all degrees from one pass, and
 ``laplacian_spectrum`` is its one-degree window.  ``hodge_decompose``
 projects onto im A_{p-1} and im A_p^H, and ``harmonic_representative`` off
-im A_0, by plain least squares.  The full adjoint and Laplacian live on
-only in the tests, as the declared cross-check.
+im A_0, by plain least squares, on the dense A of ``_dense``.  The full
+adjoint and Laplacian, and the dense Gram product, live on only in the
+tests, as the declared cross-checks.
 
 When every coboundary entry of a call has an exactly zero imaginary part, as
-for a positive lambda, the scaled A_q are float64 and so are the Gram
+for a positive lambda, the scaled entries are float64 and so are the Gram
 matrices: the products and the eigensolver run in real arithmetic at about
 half the cost of complex Hermitian ones.  The choice is made once per call,
 so in an all-degree pass a real degree next to a complex one is solved in
@@ -49,10 +53,11 @@ matrix has a Laplacian eigenvalue of order eps^2, which slips under any
 linear cut long before the matrix is actually singular.  The user threshold
 is floored at the noise level sqrt(n * machine_eps) so that true zeros are
 never dropped by an overly tight request.  A true zero comes back either as
-a padded exact zero or as a zero eigenvalue of a Gram piece, which forming
-the product and solving perturb by about m * eps * ||A||^2; the piece's side
-m is at most n and ||A||^2 at most eig_max, so that is n * eps * eig_max at
-worst.
+a padded exact zero or as a zero eigenvalue of a Gram piece, which solving
+perturbs by about m * eps * ||A||^2; the piece's side m is at most n and
+||A||^2 at most eig_max, so that is n * eps * eig_max at worst.  Forming a
+Gram entry adds only the few products of one row or column, so it adds
+less than that.
 """
 
 from __future__ import annotations
@@ -136,55 +141,91 @@ def _require_finite(what: str, *arrays) -> None:
         raise NumericalError(f"{what} leaves the float range")
 
 
-def _scaled(k, theta, lam, w: InnerProduct, what: str, *degrees) -> list[np.ndarray]:
+def _scaled(k, theta, lam, w: InnerProduct, what: str, *degrees) -> list[tuple]:
     """The scaled coboundaries A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}.
 
-    The one place the inner product enters an operator.  Each delta_q is
-    assembled once, and its entries are read before any array is allocated:
-    the arrays are float64 when no entry has a nonzero imaginary part,
-    complex otherwise.  Outside degrees 0..dim delta is the zero map.
+    The one place the inner product enters an operator.  Each A_q comes back
+    as its nonzero entries, ``(shape, rows, cols, vals)``, and no dense array
+    is allocated.  Each delta_q is assembled once, and all its entries are
+    read before any is scaled: the scaled values are float64 when no entry
+    has a nonzero imaginary part, complex otherwise.  Outside degrees 0..dim
+    delta is the zero map.
     """
     lam = twisted._local_system(k, theta, lam, backend="float")[0]
     assembled = []
     for q in degrees:
         # read through the module at call time: the one assembly in twisted
         rows = twisted._coboundary_rows(k, theta, lam, q) if 0 <= q <= k.dim else []
-        at = [r for r, row in enumerate(rows) for _ in row], [c for row in rows for c in row]
+        r = np.array([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
+        c = np.array([j for row in rows for j in row], dtype=np.intp)
         vals = np.array([v for row in rows for v in row.values()], dtype=complex)
-        assembled.append((q, at, vals))
-    real = not any(vals.imag.any() for _, _, vals in assembled)
+        assembled.append((q, r, c, vals))
+    real = not any(vals.imag.any() for *_, vals in assembled)
     scaled = []
-    for q, (r, c), vals in assembled:
+    for q, r, c, vals in assembled:
         with np.errstate(over="ignore", invalid="ignore"):
             vals = (vals.real if real else vals) * np.sqrt(w.vector(q + 1))[r]
             vals /= np.sqrt(w.vector(q))[c]
-        a = np.zeros((k.n_simplices(q + 1), k.n_simplices(q)), dtype=vals.dtype)
-        a[r, c] = vals
-        scaled.append(a)
-    _require_finite(what, *scaled)
+        scaled.append(((k.n_simplices(q + 1), k.n_simplices(q)), r, c, vals))
+    _require_finite(what, *(vals for *_, vals in scaled))
     return scaled
+
+
+def _dense(a) -> np.ndarray:
+    """One scaled coboundary of ``_scaled`` as a dense array, for the least
+    squares of ``hodge_decompose`` and ``harmonic_representative``."""
+    shape, r, c, vals = a
+    out = np.zeros(shape, dtype=vals.dtype)
+    out[r, c] = vals
+    return out
+
+
+def _gram(a) -> np.ndarray:
+    """Gram matrix of one scaled coboundary on its smaller side: A A^H when A
+    has fewer rows than columns, A^H A otherwise.
+
+    Entry (i, j) of A^H A sums conj(A[r, i]) A[r, j] over the rows r that
+    hold both, and A A^H is the same sum over columns with A conjugated.  So
+    each line (a row, or a column) contributes the products of its few
+    entries, and ``np.add.at`` adds them into the m x m matrix: no dense A
+    and no product over its zeros.
+    """
+    (n_rows, n_cols), r, c, vals = a
+    if n_rows < n_cols:
+        m, line, at, vals = n_rows, c, r, vals.conj()
+    else:
+        m, line, at = n_cols, r, c
+    order = np.argsort(line, kind="stable")
+    line, at, vals = line[order], at[order], vals[order]
+    # every entry pairs with each entry of its line, its own included
+    count = np.bincount(line)[line]
+    left = np.repeat(np.arange(line.size), count)
+    first = np.repeat(np.searchsorted(line, line), count)
+    right = first + np.arange(left.size) - np.repeat(np.cumsum(count) - count, count)
+    gram = np.zeros(m * m, dtype=vals.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(gram, at[left] * m + at[right], vals[left].conj() * vals[right])
+    return gram.reshape(m, m)
 
 
 def _spectra(k, theta, lam, w, degrees: range) -> list[np.ndarray]:
     """Ascending Laplacian spectra in a range of consecutive degrees.
 
     A_{lo-1}..A_hi are scaled in one ``_scaled`` call and each non-empty
-    Gram piece is solved once, on its smaller side.  Degree p takes the n_p
-    largest of eig Gram(A_{p-1}), eig Gram(A_p) and n_p zeros (see the
-    module docstring); anything below them is a zero in exact arithmetic,
-    since rank A_p + rank A_{p-1} <= n_p.
+    Gram piece is formed by ``_gram`` and solved once, on its smaller side.
+    Degree p takes the n_p largest of eig Gram(A_{p-1}), eig Gram(A_p) and
+    n_p zeros (see the module docstring); anything below them is a zero in
+    exact arithmetic, since rank A_p + rank A_{p-1} <= n_p.
     """
     lo, hi = degrees[0], degrees[-1]
     what = f"degree {lo} Laplacian" if lo == hi else f"degree {lo}..{hi} Laplacian"
     span = range(lo - 1, hi + 1)
     eigs = []
     for q, a in zip(span, _scaled(k, theta, lam, w, what, *span)):
-        if not a.size:
+        if 0 in a[0]:
             eigs.append(np.zeros(0))
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            ah = a.conj().T
-            gram = a @ ah if a.shape[0] < a.shape[1] else ah @ a
+        gram = _gram(a)
         _require_finite(what, gram)
         try:
             eigs.append(np.linalg.eigvalsh(gram))
@@ -212,9 +253,11 @@ def _singular_values(spectrum: np.ndarray) -> np.ndarray:
 
 def _harmonic_cut(sing: np.ndarray, threshold: float) -> float:
     # a true zero is a padded 0 or a zero of one Gram piece m x m (m <= n),
-    # which the product and eigvalsh perturb by about m * eps * ||A||^2, at
-    # most n * eps * eig_max: sqrt(n * eps) * sigma_max after the square
-    # root, so the user threshold is floored at that machine-noise level
+    # which eigvalsh perturbs by about m * eps * ||A||^2, at most
+    # n * eps * eig_max: sqrt(n * eps) * sigma_max after the square root, so
+    # the user threshold is floored at that machine-noise level; a Gram entry
+    # sums only the few products of one line, so forming it adds less and
+    # the floor stays conservative
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(
             f"harmonic threshold must be finite and nonnegative, got {threshold}"
@@ -306,7 +349,7 @@ def hodge_decompose(
     if alpha.shape != (n,):
         raise ValueError(f"cochain has shape {alpha.shape}, need ({n},)")
     what = f"degree {p} Hodge decomposition"
-    below, here = _scaled(k, theta, lam, w, what, p - 1, p)
+    below, here = (_dense(a) for a in _scaled(k, theta, lam, w, what, p - 1, p))
     root = np.sqrt(w.vector(p))
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = alpha * root
@@ -338,7 +381,7 @@ def harmonic_representative(
     root = np.sqrt(w.vector(1))
     scaled = np.asarray([float(theta.value(u, v)) for (u, v) in edges]) * root
     (a0,) = _scaled(k, zero_cocycle(k), 1.0, w, "harmonic representative", 0)
-    rep = (scaled - _projection(scaled, a0)) / root
+    rep = (scaled - _projection(scaled, _dense(a0))) / root
     return OneCocycle(
         {e: float(rep[i]) for i, e in enumerate(edges)}, mode="float"
     )

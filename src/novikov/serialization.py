@@ -51,10 +51,14 @@ def _encode_value(value, mode: str):
 
 
 def _number(raw, what: str) -> float:
-    """A JSON number as a float; booleans and every other JSON value are refused."""
+    """A JSON number as a float; booleans, integers past the float range and
+    every other JSON value are refused."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{what} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer past the float range") from None
 
 
 def _integer(raw, what: str) -> int:

@@ -16,8 +16,11 @@ the weighted adjoint W^{-1} delta^H W and the full Laplacian, which
 Laplacian's spectrum in complex arithmetic throughout: the declared
 cross-check of ``novikov.hodge``, which reads only the scaled coboundaries
 and solves two Gram pieces of them, in real arithmetic when every
-coboundary entry is real.  ``_coboundary_array`` is the dense complex
-coboundary every cross-check reads.
+coboundary entry is real.  ``dense_gram`` is the product over the whole
+of one scaled coboundary, the declared cross-check of ``novikov.hodge._gram``,
+which sums only the products within each row or column.
+``_coboundary_array`` is the dense complex coboundary every cross-check
+reads.
 """
 
 from fractions import Fraction
@@ -122,6 +125,17 @@ def complex_hodge_spectrum(k, theta, lam, p: int, w) -> np.ndarray:
     root = np.sqrt(w.vector(p))
     sym = (root[:, None] * laplacian(k, theta, lam, p, w)) / root
     return np.linalg.eigvalsh((sym + sym.conj().T) / 2)
+
+
+def dense_gram(a) -> np.ndarray:
+    """Gram matrix of one ``novikov.hodge._scaled`` piece on its smaller side,
+    as the dense product over the whole of A: A A^H when A has fewer rows
+    than columns, A^H A otherwise.  The declared cross-check of
+    ``novikov.hodge._gram``, which sums only the products within a line."""
+    shape, rows, cols, vals = a
+    d = np.zeros(shape, dtype=vals.dtype)
+    d[rows, cols] = vals
+    return d @ d.conj().T if shape[0] < shape[1] else d.conj().T @ d
 
 
 def dense_route_dims(k, theta, lam) -> tuple:

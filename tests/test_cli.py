@@ -266,7 +266,14 @@ def test_validation_errors_exit_2(tmp_path):
         ),
     )
     blocks = ([[["1"]]], {"-1": [["2"]], "0": [["1"]]}, {"0": 5}, {"0": [["1/0"]]})
-    weights = ([[1, 1, 1]], {"7": [1.0]}, {"0": [1.0, float("inf"), 1.0]}, {"0": 5})
+    # an integer past the float range, as JSON 1e400 is a non-finite float
+    huge = 10**400
+    weights = (
+        [[1, 1, 1]], {"7": [1.0]}, {"0": [1.0, float("inf"), 1.0]}, {"0": 5}, {"0": [huge, 1, 1]},
+    )
+    huge_theta = dict(circle3_payload, cocycle={"mode": "float", "values": [
+        [u, v, huge if (u, v) == (0, 1) else x] for u, v, x in values
+    ]})
 
     def written(name, payload):
         path = tmp_path / f"{name}.json"
@@ -295,6 +302,10 @@ def test_validation_errors_exit_2(tmp_path):
         *(
             ("betti", "--complex", torus2, "--lambda", lam)
             for lam in ("1/0", "0/0", "nf:x^2-3*x+1:1/0", "nf:x-1/0:x")
+        ),
+        *(
+            (command, "--complex", written("huge_theta", huge_theta), "--lambda", "2.0")
+            for command in ("betti", "hodge")
         ),
     ]
     for argv in (

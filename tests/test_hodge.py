@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from novikov.scalars import parse_scalar
 from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, twisted_coboundary
 
-from dense_reference import adjoint, complex_hodge_spectrum, laplacian
+from dense_reference import adjoint, complex_hodge_spectrum, dense_gram, laplacian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -425,7 +426,7 @@ def test_spectrum_matches_complex_reference(shape, lam, seed):
 def test_real_entries_choose_real_arithmetic():
     def dtypes(k, theta, lam):
         scaled = hodge._scaled(k, theta, lam, InnerProduct(k), "scaling", *range(-1, k.dim + 1))
-        return {a.dtype for a in scaled}
+        return {vals.dtype for *_, vals in scaled}
 
     k, theta = load_complex(FIXTURES / "torus3.json")
     assert dtypes(k, theta, 0.5) == {np.dtype(np.float64)}
@@ -455,7 +456,7 @@ def test_spectrum_is_solved_on_the_smaller_gram_pieces(monkeypatch):
     # real entries are assembled into float64 arrays of their own, not
     # into complex ones read through a .real view
     scaled = hodge._scaled(k, theta, 2.0, InnerProduct(k), "scaling", *range(-1, k.dim + 1))
-    assert all(a.flags.owndata for a in scaled)
+    assert all(vals.flags.owndata for *_, vals in scaled)
     w = InnerProduct(k)
     expected = {0: [27], 1: [27, 189], 2: [189, 162], 3: [162]}
     for lam, dtype in ((2.0, np.float64), (-1 + 0.5j, complex)):
@@ -479,3 +480,51 @@ def test_a_shortfall_of_gram_eigenvalues_is_padded_with_zeros():
     np.testing.assert_allclose(laplacian_spectrum(k, theta, 1.0, 0), [0, 0, 3, 3], atol=1e-12)
     assert harmonic_dim(k, theta, 1.0, 0) == 2
     assert [laplacian_spectrum(k, theta, 1.0, p).size for p in range(3)] == [4, 3, 1]
+
+
+def test_gram_matches_the_dense_product():
+    # every scaled piece of each shape and lambda, real and complex, against
+    # the product over the densified A, entrywise within a few ulps of the
+    # piece's largest entry
+    eps = np.finfo(float).eps
+    for shape in ("torus3", "cover", "gauged torus_grid(4)", "weighted torus3"):
+        k, theta, w = real_path_case(shape, 5)
+        for lam in (0.5, -2.0, -1 + 0.5j):
+            pieces = hodge._scaled(k, theta, lam, w, "scaling", *range(-1, k.dim + 1))
+            for q, a in zip(range(-1, k.dim + 1), pieces):
+                gram, reference = hodge._gram(a), dense_gram(a)
+                assert gram.shape == reference.shape == (min(a[0]),) * 2, (shape, lam, q)
+                assert gram.dtype == reference.dtype == a[3].dtype
+                scale = np.abs(reference).max(initial=0.0)
+                assert np.abs(gram - reference).max(initial=0.0) <= 4 * eps * scale, (
+                    shape, lam, q,
+                )
+            # A_{-1} and A_dim have no rows or no columns: 0 x 0 pieces
+            assert hodge._gram(pieces[0]).shape == hodge._gram(pieces[-1]).shape == (0, 0)
+    # a non-empty piece with no nonzero entry is the zero matrix
+    for dtype in (np.float64, complex):
+        for shape in ((3, 4), (4, 3)):
+            empty = np.zeros(0, dtype=np.intp)
+            a = (shape, empty, empty, np.zeros(0, dtype=dtype))
+            gram = hodge._gram(a)
+            assert gram.dtype == dtype
+            np.testing.assert_array_equal(gram, np.zeros((3, 3)))
+            np.testing.assert_array_equal(gram, dense_gram(a))
+
+
+def test_spectra_allocate_no_dense_coboundary():
+    # the 3-sheet cover of torus3 has 81/567/972/486 simplices: its largest
+    # Gram piece is 567 x 567 complex, 4.9 MiB, where a dense A_1 alone is
+    # 972 x 567 complex, 8.4 MiB
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    cover = cyclic_cover(k, theta, 3)
+    k, theta = cover.complex, cover.theta_lift
+    assert [k.n_simplices(p) for p in range(k.dim + 1)] == [81, 567, 972, 486]
+    largest = 567 * 567 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        hodge._spectra(k, theta, -1 + 0.5j, InnerProduct(k), range(k.dim + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * largest, peak / largest
