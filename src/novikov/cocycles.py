@@ -1,15 +1,16 @@
 """Closed 1-cochains (cocycles) and 0-cochains on a simplicial complex.
 
-A OneCocycle stores one value per increasing edge (u, v), u < v; reading
-the reversed edge negates the value.  Exact mode keeps integer values so
-that monodromy weights lambda**theta(e) stay inside the scalar field;
-float mode allows real values.  Closedness means the signed sum over every
-triangle vanishes: exactly in exact mode, and in float mode to within
-CLOSEDNESS_TOLERANCE or the rounding of the triangle sum, whichever is
-larger.  Exactness is one spanning-forest walk in both modes: it means
-every fundamental-cycle holonomy vanishes, exactly in exact mode and to
-within EXACTNESS_RESIDUAL (relative to max |theta|) in float mode.  The
-module is pure combinatorics; it builds no matrix.
+A OneCocycle stores one value per increasing edge (u, v), u < v, keyed by
+the edge tuple it is given (every builder here passes the complex's own),
+so no edge is stored twice; reading the reversed edge negates the value.
+Exact mode keeps integer values so that monodromy weights lambda**theta(e)
+stay inside the scalar field; float mode allows real values.  Closedness
+means the signed sum over every triangle vanishes: exactly in exact mode,
+and in float mode to within CLOSEDNESS_TOLERANCE or the rounding of the
+triangle sum, whichever is larger.  Exactness is one spanning-forest walk
+in both modes: it means every fundamental-cycle holonomy vanishes, exactly
+in exact mode and to within EXACTNESS_RESIDUAL (relative to max |theta|)
+in float mode.  The module is pure combinatorics; it builds no matrix.
 """
 
 from __future__ import annotations
@@ -65,12 +66,14 @@ class OneCocycle:
 
     def __post_init__(self):
         cleaned = {}
-        for (u, v), val in dict(self.values).items():
+        for key, val in dict(self.values).items():
+            u, v = key
             if not (_natural(u) and _natural(v) and u < v):
                 raise ValueError(
                     f"edge keys must be increasing pairs of ints >= 0, got {(u, v)}"
                 )
-            cleaned[(u, v)] = _check_mode_value(val, self.mode)
+            key = key if type(key) is tuple else (u, v)  # a complex's edge is kept
+            cleaned[key] = _check_mode_value(val, self.mode)
         object.__setattr__(self, "values", cleaned)
 
     def value(self, u: int, v: int):
@@ -211,20 +214,17 @@ def is_exact(k: SimplicialComplex, theta: OneCocycle):
 
 def coboundary_of(f: ZeroCochain, k: SimplicialComplex) -> OneCocycle:
     """delta f as a OneCocycle on the edges of k."""
-    vals = {(u, v): f.value(v) - f.value(u) for (u, v) in k.edges}
+    vals = {e: f.value(e[1]) - f.value(e[0]) for e in k.edges}
     return OneCocycle(vals, mode=f.mode)
 
 
 def gauge_transform(theta: OneCocycle, f: ZeroCochain) -> OneCocycle:
-    """theta + delta f on the edge set of theta.
+    """theta + delta f, keyed by theta's own edge tuples.
 
     Modes must match; the result stays closed and keeps every loop
     holonomy because delta f contributes a telescoping sum.
     """
     if theta.mode != f.mode:
         raise ValueError(f"mode mismatch: cocycle {theta.mode}, potential {f.mode}")
-    vals = {
-        (u, v): val + f.value(v) - f.value(u)
-        for (u, v), val in theta.values.items()
-    }
+    vals = {e: val + f.value(e[1]) - f.value(e[0]) for e, val in theta.values.items()}
     return OneCocycle(vals, mode=theta.mode)

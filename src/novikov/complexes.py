@@ -2,14 +2,17 @@
 
 Complexes are built from a list of maximal simplices and closed under
 faces; every vertex below vertex_count is a 0-simplex even when isolated.
-Simplex lists are lexicographically sorted per dimension, which fixes the
-row/column order of every matrix derived from the complex.  Instances are
-immutable.
+A complex stores only its vertex count and its simplex tables, one
+lexicographically sorted tuple per dimension: the sort fixes the row/column
+order of every matrix derived from the complex, and a lookup bisects it.
+Nothing derived is stored; the one assembly that needs face positions,
+``twisted._rows``, maps the level it reads.  Instances are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import combinations
 
 __all__ = [
@@ -49,14 +52,10 @@ class SimplicialComplex:
 
     vertex_count: int
     simplices: tuple
-    _index: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        levels = tuple(tuple(level) for level in self.simplices)
+        levels = tuple(tuple(sorted(level)) for level in self.simplices)
         object.__setattr__(self, "simplices", levels)
-        object.__setattr__(self, "_index", tuple(
-            {s: i for i, s in enumerate(level)} for level in levels
-        ))
 
     @classmethod
     def build(cls, maximal, vertex_count: int | None = None) -> "SimplicialComplex":
@@ -82,7 +81,7 @@ class SimplicialComplex:
         if not by_dim:
             by_dim.append(set())
         by_dim[0].update((v,) for v in range(vertex_count))
-        return cls(vertex_count, [sorted(level) for level in by_dim])
+        return cls(vertex_count, by_dim)
 
     @property
     def dim(self) -> int:
@@ -96,18 +95,30 @@ class SimplicialComplex:
             return 0
         return len(self.simplices[p])
 
+    def _position(self, s: tuple):
+        """Position of s in its sorted level, None when s is not a simplex."""
+        if not 0 < len(s) <= len(self.simplices):
+            return None
+        level = self.simplices[len(s) - 1]
+        try:
+            i = bisect_left(level, s)
+        except TypeError:  # an entry that does not compare with ints is no vertex
+            return None
+        return i if i < len(level) and level[i] == s else None
+
     def simplex_index(self, simplex) -> int:
         s = tuple(simplex)
-        p = len(s) - 1
-        try:
-            return self._index[p][s]
-        except (IndexError, KeyError):
-            raise KeyError(f"{s} is not a simplex of this complex") from None
+        i = self._position(s)
+        if i is None:
+            raise KeyError(f"{s} is not a simplex of this complex")
+        return i
 
     def has_simplex(self, simplex) -> bool:
-        s = tuple(sorted(simplex))
-        p = len(s) - 1
-        return 0 <= p <= self.dim and s in self._index[p]
+        try:
+            s = tuple(sorted(simplex))
+        except TypeError:
+            return False
+        return self._position(s) is not None
 
     @property
     def edges(self):

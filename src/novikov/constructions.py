@@ -127,15 +127,15 @@ class ProductComplex:
         mode = "float" if "float" in (theta.mode, gamma.mode) else "exact"
         fill = 0 if mode == "exact" else 0.0
         values = {}
-        for (u, v) in self.complex.edges:
-            a, b = self.pair(u)
-            a2, b2 = self.pair(v)
+        for e in self.complex.edges:
+            a, b = self.pair(e[0])
+            a2, b2 = self.pair(e[1])
             val = fill
             if a != a2:
                 val = val + theta.value(a, a2)
             if b != b2:
                 val = val + gamma.value(b, b2)
-            values[(u, v)] = val
+            values[e] = val
         return OneCocycle(values, mode=mode)
 
 
@@ -210,8 +210,8 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
         )
 
     values = {}
-    for (u, v) in glued.edges:
-        ru, rv = u % layers, v % layers
+    for e in glued.edges:
+        ru, rv = e[0] % layers, e[1] % layers
         if ru == rv:
             step = 0
         elif rv == ru + 1 or (ru, rv) == (layers - 1, 0):
@@ -219,8 +219,8 @@ def mapping_torus(base: SimplicialComplex, phi: SimplicialMap, layers: int = 3) 
         elif ru == rv + 1 or (ru, rv) == (0, layers - 1):
             step = -1
         else:  # non-adjacent layers cannot share an edge
-            raise ConstructionError(f"edge {(u, v)} spans layers {(ru, rv)}")
-        values[(u, v)] = step
+            raise ConstructionError(f"edge {e} spans layers {(ru, rv)}")
+        values[e] = step
     fiber = OneCocycle(values)
     if not validate_closed(glued, fiber):
         raise ConstructionError("fiber cocycle failed to close")
@@ -287,9 +287,7 @@ def cyclic_cover(base: SimplicialComplex, theta: OneCocycle, sheets: int) -> Cov
         raise ConstructionError(
             f"lift produced counts {cover.counts()}, expected {expect}"
         )
-    values = {}
-    for (u, v) in cover.edges:
-        values[(u, v)] = theta.value(u // sheets, v // sheets)
+    values = {e: theta.value(e[0] // sheets, e[1] // sheets) for e in cover.edges}
     lift = OneCocycle(values)
     return CoveringData(base, sheets, cover, lift, theta)
 

@@ -231,6 +231,7 @@ def _spectra(k, theta, lam, w, degrees: range) -> list[np.ndarray]:
             eigs.append(np.linalg.eigvalsh(gram))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigenvalue solve failed on Gram(A_{q}): {exc}") from exc
+        del gram  # so that it is not alive while _gram forms the next piece
     spectra = []
     for below, here, p in zip(eigs, eigs[1:], degrees):
         n = k.n_simplices(p)

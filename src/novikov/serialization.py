@@ -123,7 +123,8 @@ def complex_from_json(payload: dict):
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown cocycle mode {mode!r}")
-    edges = set(k.edges)
+    # each value is keyed by the complex's own edge tuple
+    edges = {e: e for e in k.edges}
     values = {}
     for entry in _lists(raw["values"], "cocycle 'values'"):
         u, v, val = entry
@@ -132,7 +133,7 @@ def complex_from_json(payload: dict):
             raise ValueError(f"cocycle value on {edge}, which is not an increasing edge")
         if edge in values:
             raise ValueError(f"cocycle lists edge {edge} twice")
-        values[edge] = _decode_value(val, mode)
+        values[edges[edge]] = _decode_value(val, mode)
     missing = [e for e in k.edges if e not in values]
     if missing:
         raise ValueError(f"cocycle misses {len(missing)} edges, first {missing[0]}")

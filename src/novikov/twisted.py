@@ -86,10 +86,11 @@ def _rows(k: SimplicialComplex, theta: OneCocycle, p: int, power, signs, dropped
     carries power(theta(tau0, tau1)), the transport along the leading edge,
     which is increasing, so its value is the stored one; face i carries
     signs[i % 2], the sign (-1)**i.  Columns in ``dropped`` are left out.
+    The complex stores no positions, so level p is mapped here, once.
     """
     if p < 0 or p > k.dim:
         raise ValueError(f"degree {p} out of range for dim {k.dim}")
-    index = k._index[p]
+    index = {s: i for i, s in enumerate(k.simplices[p])}
     values = theta.values
     rows = []
     for tau in k.simplices[p + 1] if p < k.dim else ():

@@ -1,8 +1,11 @@
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from dense_reference import boundary
+from novikov.cocycles import holonomy, zero_cocycle
 from novikov.complexes import (
     SimplicialComplex,
     circle,
@@ -11,6 +14,11 @@ from novikov.complexes import (
     point,
     sphere_boundary,
 )
+from novikov.constructions import product
+from novikov.errors import InvalidLoopError
+from novikov.serialization import load_complex
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_build_face_closure_counts():
@@ -55,6 +63,44 @@ def test_immutability_and_lookup():
     assert not k.has_simplex((1, 3))
     with pytest.raises(KeyError):
         k.simplex_index((1, 3))
+
+
+def test_a_complex_stores_only_its_simplex_tables():
+    names = [f.name for f in dataclasses.fields(SimplicialComplex)]
+    assert names == ["vertex_count", "simplices"]
+
+
+def test_direct_construction_sorts_each_level():
+    k = SimplicialComplex(3, [[(2,), (0,), (1,)], [(1, 2), (0, 1)]])
+    assert k.simplices == (((0,), (1,), (2,)), ((0, 1), (1, 2)))
+    built = SimplicialComplex.build([(1, 2), (0, 1)])
+    assert k == built and hash(k) == hash(built)
+
+
+def test_lookups_give_each_simplex_its_position_in_its_level():
+    circle3, torus2, torus3 = (
+        load_complex(FIXTURES / f"{name}.json")[0] for name in ("circle3", "torus2", "torus3")
+    )
+    for k in (circle3, torus2, torus3, product(torus3, circle3).complex):
+        for level in k.simplices:
+            for i, s in enumerate(level):
+                assert k.simplex_index(s) == i
+                assert k.has_simplex(s) and k.has_simplex(s[::-1])
+
+
+def test_lookups_refuse_what_is_not_a_simplex():
+    k = circle(4)
+    absent = [(1, 3), (0, 0), (4,), (0, 1, 2), (), ("a",), (0.5, 1), ("a", 1), (None,), ([0],)]
+    for s in absent:
+        assert k.has_simplex(s) is False, s
+        with pytest.raises(KeyError):
+            k.simplex_index(s)
+    # has_simplex sorts its query, simplex_index reads it as given
+    assert k.has_simplex((3, 0))
+    with pytest.raises(KeyError):
+        k.simplex_index((3, 0))
+    with pytest.raises(InvalidLoopError):
+        holonomy(k, zero_cocycle(k), ["a", "b", "c"])
 
 
 def test_circle_generator():

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from novikov import constructions
-from novikov.cocycles import OneCocycle, holonomy, zero_cocycle
+from novikov.cocycles import (
+    OneCocycle,
+    ZeroCochain,
+    coboundary_of,
+    gauge_transform,
+    holonomy,
+    zero_cocycle,
+)
 from novikov.complexes import SimplicialComplex, circle, euler_characteristic, point
 from novikov.constructions import (
     CoveringData,
@@ -303,3 +310,25 @@ def test_sheets_one_cover_is_base():
     cover = cyclic_cover(k, theta, 1)
     assert cover.complex.counts() == k.counts()
     assert isinstance(cover, CoveringData)
+
+
+def test_every_cocycle_is_keyed_by_its_complex_edge_tuples():
+    torus3, theta = load_complex(FIXTURES / "torus3.json")
+    circle3, gamma = load_complex(FIXTURES / "circle3.json")
+    torus2, _ = load_complex(FIXTURES / "torus2.json")
+    flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text(encoding="utf-8"))
+    cover = cyclic_cover(torus3, theta, 3)
+    pc = product(torus3, circle3)
+    mt = mapping_torus(torus2, SimplicialMap(torus2, torus2, flip), 3)
+    cases = [
+        (torus3, theta),  # complex_from_json
+        (cover.complex, cover.theta_lift),
+        (pc.complex, pc.combine_cocycles(theta, gamma)),
+        (mt.complex, mt.fiber_cocycle),
+    ]
+    rng = random.Random(26)
+    for k, built in cases:
+        f = ZeroCochain({v: rng.randint(-4, 4) for v in range(k.vertex_count)})
+        for cocycle in (built, gauge_transform(built, f), coboundary_of(f, k), zero_cocycle(k)):
+            assert len(cocycle.values) == len(k.edges)
+            assert all(key is e for key, e in zip(sorted(cocycle.values), k.edges)), k

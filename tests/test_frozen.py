@@ -25,7 +25,7 @@ def _theta():
 
 # (factory, fields to assign, equality: "value", "hashed value" or "identity")
 CASES = {
-    "SimplicialComplex": (lambda: circle(4), ("vertex_count", "simplices", "_index"), "hashed value"),
+    "SimplicialComplex": (lambda: circle(4), ("vertex_count", "simplices"), "hashed value"),
     "OneCocycle": (_theta, ("values", "mode"), "value"),
     "FiberCohomologyAction": (
         lambda: FiberCohomologyAction([[[1]], [[0, 1], [1, 0]]]), ("matrices",), "value"

@@ -528,3 +528,22 @@ def test_spectra_allocate_no_dense_coboundary():
     finally:
         tracemalloc.stop()
     assert peak < 4 * largest, peak / largest
+
+
+@pytest.mark.parametrize("lam, dtype", [(-1 + 0.5j, complex), (2.0, np.float64)])
+def test_spectra_free_each_gram_piece_after_its_solve(lam, dtype):
+    # each piece is freed after its solve, so the largest one, 567 x 567 on
+    # the 3-sheet cover of torus3, is never alive next to its neighbour; two
+    # pieces alive at once take the peak to about 1.9x
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    cover = cyclic_cover(k, theta, 3)
+    k, theta = cover.complex, cover.theta_lift
+    largest = 567 * 567 * np.dtype(dtype).itemsize
+    w = InnerProduct(k)
+    tracemalloc.start()
+    try:
+        hodge._spectra(k, theta, lam, w, range(k.dim + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * largest, peak / largest

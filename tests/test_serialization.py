@@ -1,9 +1,12 @@
+import gc
 import json
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from novikov.cocycles import OneCocycle
+from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform
 from novikov.complexes import circle
 from novikov.constructions import torus_grid
 from novikov.serialization import (
@@ -19,6 +22,8 @@ from novikov.serialization import (
 )
 from novikov.twisted import betti_profile
 from novikov.wang import FiberCohomologyAction
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def torus_pair():
@@ -143,3 +148,27 @@ def test_save_load_and_digest(tmp_path):
 def test_report_bytes_canonical():
     assert report_bytes({"b": 1, "a": [2]}) == report_bytes({"a": [2], "b": 1})
     assert report_bytes({"x": 1}).endswith(b"\n")
+
+
+def _gauged(payload, f):
+    """A loaded complex and its gauged cocycle; the loaded cocycle is dropped."""
+    k, theta = complex_from_json(payload)
+    return k, gauge_transform(theta, f)
+
+
+def test_a_gauged_input_holds_only_its_tables_and_values():
+    # torus3 (27/189/324/162 simplices) gauged: its simplex tuples, the level
+    # tuples and one value dict keyed by the complex's own edge tuples, 58 KiB;
+    # a position dict per level would add about 26 KiB
+    payload = json.loads((FIXTURES / "torus3.json").read_text(encoding="utf-8"))
+    f = ZeroCochain({v: (7 * v) % 9 - 4 for v in range(27)})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = _gauged(payload, f)
+        gc.collect()  # empties the free lists, whose blocks would count as held
+        footprint = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held[0].counts() == (27, 189, 324, 162)
+    assert footprint <= 70 * 1024, footprint / 1024
