@@ -41,7 +41,7 @@ from .serialization import (
     load_weights,
     report_bytes,
 )
-from .twisted import betti_profile, kunneth_check
+from .twisted import kunneth_check, reduce
 from .verify import SUITES, run_suite
 from .wang import wang_dims
 
@@ -174,8 +174,10 @@ def _load_with_cocycles(*paths):
     return loaded
 
 
-def _betti(args, k, theta, lam):
-    return betti_profile(k, theta, lam, backend=args.backend, tolerance=args.tolerance)
+def _profiles(args, lams, *spaces):
+    """Each (complex, cocycle) reduced once: per lambda, one profile per space."""
+    residuals = [reduce(k, theta) for k, theta in spaces]
+    return [[r.profile(lam, args.backend, args.tolerance) for r in residuals] for _, lam in lams]
 
 
 def _dims_text(profile) -> str:
@@ -191,7 +193,7 @@ def _profile_table(profiles) -> str:
 
 def _run_betti(args, lams):
     [(k, theta)] = _load_with_cocycles(args.complex)
-    profiles = [_betti(args, k, theta, lam) for _, lam in lams]
+    profiles = [p for (p,) in _profiles(args, lams, (k, theta))]
     results = {"counts": list(k.counts()), "profiles": [p.to_json() for p in profiles]}
     backends = [p.backend for p in profiles]
     return results, backends, _profile_table(profiles)
@@ -209,7 +211,7 @@ def _run_product(args, lams):
     (kl, tl), (kr, tr) = _load_with_cocycles(args.left, args.right)
     prod = product(kl, kr)
     spaces = ((kl, tl), (kr, tr), (prod.complex, prod.combine_cocycles(tl, tr)))
-    triples = [[_betti(args, k, theta, lam) for k, theta in spaces] for _, lam in lams]
+    triples = _profiles(args, lams, *spaces)
     convolution_ok = all(kunneth_check(*triple) for triple in triples)
     results = {
         "counts": list(prod.complex.counts()),
@@ -238,7 +240,7 @@ def _run_mapping_torus(args, lams):
     k, _ = load_complex(args.complex)
     phi = _load_map(args.map, k)
     torus = mapping_torus(k, phi, layers=args.layers)
-    profiles = [_betti(args, torus.complex, torus.fiber_cocycle, lam) for _, lam in lams]
+    profiles = [p for (p,) in _profiles(args, lams, (torus.complex, torus.fiber_cocycle))]
     results = {
         "layers": args.layers,
         "holonomy_period": torus.holonomy_period,
@@ -251,8 +253,7 @@ def _run_mapping_torus(args, lams):
 def _run_cover(args, lams):
     [(k, theta)] = _load_with_cocycles(args.complex)
     cover = cyclic_cover(k, theta, args.sheets)
-    spaces = ((k, theta), (cover.complex, cover.theta_lift))
-    pairs = [[_betti(args, c, t, lam) for c, t in spaces] for _, lam in lams]
+    pairs = _profiles(args, lams, (k, theta), (cover.complex, cover.theta_lift))
     results = {
         "sheets": args.sheets,
         "profiles": [{"base": base.to_json(), "cover": lifted.to_json()} for base, lifted in pairs],

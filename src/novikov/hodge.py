@@ -304,7 +304,7 @@ def spectral_gap(
     return _dim_and_gap(laplacian_spectrum(k, theta, lam, p, weights), threshold)[1]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class HodgeParts:
     """Weighted-orthogonal split of a cochain into its three components."""
 

@@ -14,16 +14,18 @@ ordinary simplicial coboundary (the transpose of the boundary matrix).
 
 Betti numbers do not need the full complex.  With t standing for lambda,
 every nonzero coboundary entry is t**theta(e) or +-1, a unit of the ring
-Z[t, 1/t] of Laurent polynomials.  ``reduce`` eliminates pairs of cells on
-unit entries once, before any lambda is chosen (Kaczynski-Mrozek-Slusarek,
-1998; Skoldberg, 2006); what is left is a residual complex, often of about
-the size of its cohomology, with the same cohomology at every lambda != 0.
-``betti_profile`` evaluates the residual at lambda and computes
+Z[t, 1/t] of Laurent polynomials.  ``reduce`` checks that theta is closed
+and eliminates pairs of cells on unit entries once, before any lambda is
+chosen (Kaczynski-Mrozek-Slusarek, 1998; Skoldberg, 2006); what is left is
+a residual complex, often of about the size of its cohomology, with the
+same cohomology at every lambda != 0.  The residual is a held value, and
+``Reduction.profile`` evaluates it at any lambda, as often as asked:
 
     dims[p] = #residual C^p - rank delta_p - rank delta_{p-1},
 
 exactly for rational / number field lambda and through singular values for
-float lambda.  One face rule, ``_rows``, writes every coboundary entry:
+float lambda.  ``betti_profile`` is ``reduce`` plus one ``Reduction.profile``.
+One face rule, ``_rows``, writes every coboundary entry:
 over Z[t, 1/t] for ``reduce``, and at lambda for Hodge, Wang and
 ``twisted_coboundary``, which read the full assembly ``_coboundary_rows``.
 All functions are pure and safe to call from concurrent readers; results
@@ -59,14 +61,12 @@ __all__ = [
 ]
 
 
-def _local_system(
-    k: SimplicialComplex, theta: OneCocycle, lam, backend=None, tolerance=None
-):
-    """The one check of a local system; returns ``_arithmetic``'s triple.
+def _monodromy(theta: OneCocycle, lam, backend=None, tolerance=None):
+    """Lambda's half of a local system's check; returns ``_arithmetic``'s triple.
 
     Exact backends require integer theta so the weights lambda**theta(e)
     live in the scalar field; the float backend accepts real exponents
-    through the principal power branch.  Theta must be closed on k.
+    through the principal power branch.
     """
     lam, backend, tol = _arithmetic(lam, backend=backend, tolerance=tolerance)
     if backend != "float" and theta.mode != "exact":
@@ -74,9 +74,20 @@ def _local_system(
             "exact lambda needs an integer cocycle; use float lambda "
             "for real-valued theta"
         )
+    return lam, backend, tol
+
+
+def _require_closed(k: SimplicialComplex, theta: OneCocycle) -> None:
+    """Theta's half: closed on k (IncompleteCocycleError when an edge lacks a value)."""
     if not validate_closed(k, theta):
         raise ValueError("cocycle is not closed on this complex")
-    return lam, backend, tol
+
+
+def _local_system(k, theta, lam, backend=None, tolerance=None):
+    """The whole check of a local system: lambda's half, then theta's."""
+    checked = _monodromy(theta, lam, backend, tolerance)
+    _require_closed(k, theta)
+    return checked
 
 
 def _rows(k: SimplicialComplex, theta: OneCocycle, p: int, power, signs, dropped=()):
@@ -175,13 +186,41 @@ _SIGNS = ({0: 1}, {0: -1})
 class Reduction:
     """The twisted complex over Z[t, 1/t] after pair elimination on units.
 
+    ``complex`` and ``theta`` are the inputs themselves, not copies.
     ``sizes[p]`` counts the residual p-cells.  ``deltas[p]`` is the residual
     delta_p as sparse rows, one {column: Laurent polynomial} dict per
     residual (p+1)-cell, with columns numbered among the residual p-cells.
     """
 
+    complex: SimplicialComplex
+    theta: OneCocycle
     sizes: tuple[int, ...]
     deltas: tuple[tuple[dict, ...], ...]
+
+    def profile(self, lam, backend=None, tolerance=None) -> BettiProfile:
+        """All twisted cohomology dimensions at lambda, ranked on the residual.
+
+        Only lambda is checked here; ``reduce`` checked theta.  backend
+        "float" forces numeric rank on an exact lambda; exact backends run
+        tolerance-free.  The ill_conditioned flag reports whether any
+        singular value of a residual coboundary fell near the rank cut
+        (float backend only).  The residual is read, never edited.
+        """
+        lam, backend, tol = _monodromy(self.theta, lam, backend, tolerance)
+        is_float = backend == "float"
+        if is_float:
+            weight = _weight(lam)
+            for e in self.complex.edges:
+                weight(self.theta.values[e])  # NumericalError once one leaves the float range
+        ranked = [
+            _float_rank(_float_array(rows, n, lam), tol, floor=1.0) if is_float
+            else (_exact_rank_columns(_exact_rows(rows, lam)), False)
+            for rows, n in zip(self.deltas, self.sizes)
+        ]
+        ranks = [r for r, _ in ranked]
+        dims = tuple(n - r - q for n, r, q in zip(self.sizes, ranks, [0] + ranks))
+        euler = sum((-1) ** p * d for p, d in enumerate(dims))
+        return BettiProfile(dims, euler, lam, backend, tol, any(ill for _, ill in ranked))
 
 
 def _laurent_rows(k: SimplicialComplex, theta: OneCocycle, p: int, dropped):
@@ -249,9 +288,10 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
     unit entry of delta_p: the Schur complement replaces delta_p, row a of
     delta_{p-1} is deleted and column b of delta_{p+1} is dropped when
     degree p + 1 is assembled.  The deletions rely on delta delta = 0, so
-    theta must be closed; ``betti_profile`` checks that first.  Entries keep
-    integer coefficients, and a real theta gives real exponents.
+    theta must be closed, and that is checked first.  Entries keep integer
+    coefficients, and a real theta gives real exponents.
     """
+    _require_closed(k, theta)
     sizes, deltas = [], []
     dropped = set()  # p-cells paired with a (p-1)-cell
     below = []  # rows of delta_{p-1}, keyed by p-cell, awaiting row deletion
@@ -270,7 +310,7 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
         below = rows
         below_number = {c: i for i, c in enumerate(keep)}
     deltas.append(())
-    return Reduction(tuple(sizes), tuple(deltas))
+    return Reduction(k, theta, tuple(sizes), tuple(deltas))
 
 
 def _exact_rows(rows, lam):
@@ -303,7 +343,7 @@ def _float_array(rows, ncols, lam):
     row or a column leaves the rank alone, and the column pass keeps a
     column that no row leads from shrinking below the rank cut.  Every
     scaled row and column holds a term of magnitude 1 before any
-    cancellation, so ``betti_profile`` ranks these arrays against an
+    cancellation, so ``Reduction.profile`` ranks these arrays against an
     absolute scale of 1, as the full delta_p with its +-1 entries would be:
     a real theta that closes only up to rounding leaves t**x - t**(x + eps)
     where the exact residual has a zero, and that noise must not set the
@@ -354,44 +394,10 @@ def betti_profile(
     backend: str | None = None,
     tolerance: float | None = None,
 ) -> BettiProfile:
-    """All twisted cohomology dimensions of (k, theta, lambda).
-
-    The ranks are taken on the residual complex of ``reduce`` evaluated at
-    lambda.  backend "float" forces numeric rank on an exact lambda; exact
-    backends run tolerance-free.  The ill_conditioned flag reports whether
-    any singular value of a residual coboundary fell near the rank cut
-    (float backend only).
-    """
-    lam, backend, tol = _local_system(k, theta, lam, backend, tolerance)
-    is_float = backend == "float"
-    if is_float:
-        weight = _weight(lam)
-        for e in k.edges:
-            weight(theta.values[e])  # NumericalError once one leaves the float range
-    residual = reduce(k, theta)
-    ranks = []
-    ill_any = False
-    for p, rows in enumerate(residual.deltas):
-        if is_float:
-            a = _float_array(rows, residual.sizes[p], lam)
-            r, ill = _float_rank(a, tol, floor=1.0)
-        else:
-            r, ill = _exact_rank_columns(_exact_rows(rows, lam)), False
-        ranks.append(r)
-        ill_any = ill_any or ill
-    dims = [
-        residual.sizes[p] - ranks[p] - (ranks[p - 1] if p else 0)
-        for p in range(k.dim + 1)
-    ]
-    euler = sum((-1) ** p * d for p, d in enumerate(dims))
-    return BettiProfile(
-        dims=tuple(dims),
-        euler=euler,
-        lam=lam,
-        backend=backend,
-        tolerance=tol,
-        ill_conditioned=ill_any,
-    )
+    """All twisted cohomology dimensions of (k, theta, lambda): ``reduce``
+    and one ``Reduction.profile``.  A caller with several lambdas holds the
+    reduction instead."""
+    return reduce(k, theta).profile(lam, backend, tolerance)
 
 
 def kunneth_check(

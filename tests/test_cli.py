@@ -9,6 +9,7 @@ import pytest
 from novikov import cli, twisted
 from novikov.bounds import small_b_limit
 from novikov.serialization import file_digest
+from test_twisted import count_reductions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -414,6 +415,24 @@ def test_hodge_builds_each_operator_once(monkeypatch, capsys):
     assert degrees == [0, 1, 2, 3] * 2
     entries = json.loads(capsys.readouterr().out)["results"]["entries"]
     assert [e["harmonic_dims"] for e in entries] == [[1, 3, 3, 1], [0, 0, 0, 0]]
+
+
+def test_cover_reduces_each_input_once(monkeypatch, capsys):
+    reduced = count_reductions(monkeypatch)
+    argv = ["cover", "--complex", str(FIXTURES / "torus3.json"), "--sheets", "3"]
+    assert cli.main(argv + ["--lambda", "2", "--lambda", "1", "--lambda", "-1"]) == 0
+    assert len(reduced) == 2  # the base and its cover, 6 with one per lambda
+    profiles = json.loads(capsys.readouterr().out)["results"]["profiles"]
+    assert [p["cover"]["dims"] for p in profiles[:2]] == [[0, 0, 0, 0], [1, 3, 3, 1]]
+
+
+def test_product_reduces_each_input_once(monkeypatch, capsys):
+    reduced = count_reductions(monkeypatch)
+    argv = ["product", "--left", str(FIXTURES / "torus3.json")]
+    argv += ["--right", str(FIXTURES / "circle3.json"), "--lambda", "2", "--lambda", "1"]
+    assert cli.main(argv) == 0
+    assert len(reduced) == 3  # two factors and the product, 6 with one per lambda
+    assert json.loads(capsys.readouterr().out)["results"]["convolution_ok"]
 
 
 def test_negative_literals_follow_lambda_as_separate_arguments(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import boundary, coboundary, dense, dense_route_dims
+from novikov import cli, twisted, verify
 from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform, zero_cocycle
 from novikov.complexes import (
     SimplicialComplex,
@@ -22,7 +24,7 @@ from novikov.constructions import (
     torus_grid,
     torus_grid_map,
 )
-from novikov.errors import BackendMismatchError
+from novikov.errors import BackendMismatchError, IncompleteCocycleError
 from novikov.hodge import harmonic_representative, hodge_decompose, laplacian_spectrum
 from novikov.scalars import Matrix, NumberFieldElement, parse_scalar
 from novikov.serialization import load_complex
@@ -40,6 +42,20 @@ from novikov.twisted import (
 from test_acceptance import random_closed_cocycle, random_small_complex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def count_reductions(monkeypatch):
+    """The list of complexes reduced from now on: every name ``reduce`` is
+    read by is wrapped, so each reduction is counted once."""
+    reduced = []
+
+    def counted(k, theta):
+        reduced.append(k)
+        return reduce(k, theta)
+
+    for module in (twisted, verify, cli):
+        monkeypatch.setattr(module, "reduce", counted, raising=False)
+    return reduced
 
 
 def full_theta(k, special, mode="exact"):
@@ -496,3 +512,48 @@ def test_pipelines_build_no_dense_matrix(monkeypatch):
         assert parts.residual < 1e-9
     rep = harmonic_representative(k, theta)
     assert rep.mode == "float" and len(rep.values) == len(k.edges)
+
+
+def test_reduce_refuses_a_cocycle_it_cannot_reduce():
+    # the row deletions of reduce rely on delta delta = 0: an open theta gave
+    # a meaningless residual of sizes (1, 0, 0), a missing edge a bare KeyError
+    k = SimplicialComplex.build([(0, 1, 2)])
+    not_closed = OneCocycle({(0, 1): 1, (1, 2): 0, (0, 2): 0})
+    incomplete = OneCocycle({(0, 1): 1, (1, 2): 0})
+    for run in (reduce, lambda k, theta: betti_profile(k, theta, Fraction(2))):
+        with pytest.raises(ValueError, match="cocycle is not closed on this complex"):
+            run(k, not_closed)
+        with pytest.raises(IncompleteCocycleError):
+            run(k, incomplete)
+
+
+def test_a_held_reduction_is_evaluated_at_every_lambda():
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    cover = cyclic_cover(k, theta, 3)
+    red = reduce(cover.complex, cover.theta_lift)
+    assert red.complex is cover.complex and red.theta is cover.theta_lift
+    before = copy.deepcopy(red.deltas)
+    answers = set()
+    for literal in ("2", "1", "nf:x^2+x+1:x", "0.5", "-1+0.5j", "2"):
+        lam = parse_scalar(literal)
+        dims = red.profile(lam).dims
+        assert dims == dense_route_dims(cover.complex, cover.theta_lift, lam), literal
+        answers.add(dims)
+    assert {(0, 0, 0, 0), (1, 3, 3, 1)} <= answers
+    assert red.deltas == before  # evaluation never edits the residual
+
+
+def test_betti_profile_checks_closedness_once(monkeypatch):
+    checks = []
+    check = twisted.validate_closed
+
+    def counted(k, theta):
+        checks.append(k)
+        return check(k, theta)
+
+    monkeypatch.setattr(twisted, "validate_closed", counted)
+    k, theta = winding_torus(3)
+    for lam in (Fraction(2), 2.0):
+        checks.clear()
+        assert betti_profile(k, theta, lam).dims == (0, 0, 0)
+        assert len(checks) == 1

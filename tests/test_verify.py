@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,11 @@ from novikov.cocycles import OneCocycle
 from novikov.complexes import circle, path_complex
 from novikov.constructions import torus_grid
 from novikov.errors import NovikovError
+from novikov.serialization import load_complex
 from novikov.verify import SUITES, SuiteResult, Verdict, run_suite
+from test_twisted import count_reductions
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def torus_pair():
@@ -85,3 +90,12 @@ def test_duality_failure_carries_both_profiles():
     assert duality.name == "duality"
     assert not duality.passed
     assert duality.detail == {"lambda": "2", "dims": [1, 0], "reversed_dual": [0, 1]}
+
+
+def test_theorem21_reduces_each_pair_once(monkeypatch):
+    # the pair itself, 20 gauge trials, circle(3), the product and two
+    # covers: 25 reductions, where one per betti_profile call made 82
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    reduced = count_reductions(monkeypatch)
+    assert run_suite("theorem21", k, theta, seed=1, trials=20).passed
+    assert len(reduced) <= 25
