@@ -173,41 +173,59 @@ def holonomy(k: SimplicialComplex, theta: OneCocycle, loop):
     return total
 
 
+def _forest(k: SimplicialComplex, theta: OneCocycle):
+    """The one spanning-forest walk of (k, theta): ``(f, root, tree)``.
+
+    Each component is entered at its least vertex, its root, where f is
+    pinned to 0, and walked depth first from a stack; a vertex is reached
+    along its tree edge (u, v), which sets f(v) = f(u) + theta(u, v).
+    ``root`` maps every vertex to its root and ``tree`` holds the positions
+    of the tree edges in ``k.edges``.  Every edge must carry a value.
+    """
+    edges, values = k.edges, theta.values
+    adj = [[] for _ in range(k.vertex_count)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    zero = 0 if theta.mode == "exact" else 0.0
+    f, root, tree = {}, [None] * k.vertex_count, set()
+    for r in range(k.vertex_count):
+        if root[r] is not None:
+            continue
+        f[r], root[r] = zero, r
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for v, i in adj[u]:
+                if root[v] is None:
+                    x = values[edges[i]]
+                    f[v] = f[u] + (x if u < v else -x)
+                    root[v] = r
+                    tree.add(i)
+                    stack.append(v)
+    return f, root, tree
+
+
 def is_exact(k: SimplicialComplex, theta: OneCocycle):
     """A potential f with delta f = theta, or None.
 
-    One walk in both modes: f is pinned to 0 at the least vertex of each
-    connected component and read off along a spanning forest, then every
-    edge is checked.  On a non-tree edge the residual
-    f(v) - f(u) - theta(u, v) is the holonomy of its fundamental cycle, so
-    theta is accepted when every such holonomy vanishes: exactly in exact
-    mode, to within EXACTNESS_RESIDUAL * max(1, max |theta|) in float mode,
-    however finely a loop is triangulated.
+    One walk in both modes, ``_forest``, which ``twisted.reduce`` reads
+    too: f is pinned to 0 at the least vertex of each connected component
+    and read off along a spanning forest, then every edge is checked.  On
+    a non-tree edge the residual f(v) - f(u) - theta(u, v) is the holonomy
+    of its fundamental cycle, so theta is accepted when every such holonomy
+    vanishes: exactly in exact mode, to within
+    EXACTNESS_RESIDUAL * max(1, max |theta|) in float mode, however finely
+    a loop is triangulated.
     """
     _require_cover(k, theta)
-    n = k.vertex_count
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for (u, v) in k.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    exact = theta.mode == "exact"
-    f = {}
-    for root in range(n):
-        if root in f:
-            continue
-        f[root] = 0 if exact else 0.0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in f:
-                    f[v] = f[u] + theta.value(u, v)
-                    stack.append(v)
-    bound = 0 if exact else EXACTNESS_RESIDUAL * max(
-        [1.0] + [abs(theta.values[e]) for e in k.edges]
+    f, _, _ = _forest(k, theta)
+    values = theta.values
+    bound = 0 if theta.mode == "exact" else EXACTNESS_RESIDUAL * max(
+        [1.0] + [abs(values[e]) for e in k.edges]
     )
-    for (u, v) in k.edges:
-        if abs(f[v] - f[u] - theta.value(u, v)) > bound:
+    for e in k.edges:
+        if abs(f[e[1]] - f[e[0]] - values[e]) > bound:
             return None
     return ZeroCochain(f, mode=theta.mode)
 

@@ -31,6 +31,7 @@ def _natural(v) -> bool:
 
 
 def _validated_simplex(simplex, vertex_count):
+    """The simplex as a sorted tuple: the given one itself when it is one."""
     s = tuple(simplex)
     if len(s) == 0:
         raise ValueError("empty simplex")
@@ -43,7 +44,8 @@ def _validated_simplex(simplex, vertex_count):
             raise ValueError(
                 f"simplex {s} references vertex {v} >= vertex_count {vertex_count}"
             )
-    return tuple(sorted(s))
+    t = tuple(sorted(s))
+    return s if t == s else t
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +56,11 @@ class SimplicialComplex:
     simplices: tuple
 
     def __post_init__(self):
-        levels = tuple(tuple(sorted(level)) for level in self.simplices)
-        object.__setattr__(self, "simplices", levels)
+        levels = []
+        for level in self.simplices:
+            levels.append(tuple(sorted(level)))
+            del level  # freed before a lazy ``build`` makes the next level
+        object.__setattr__(self, "simplices", tuple(levels))
 
     @classmethod
     def build(cls, maximal, vertex_count: int | None = None) -> "SimplicialComplex":
@@ -70,18 +75,20 @@ class SimplicialComplex:
         cleaned = [_validated_simplex(s, vertex_count) for s in maximal]
         if vertex_count is None:
             vertex_count = 1 + max((max(s) for s in cleaned), default=-1)
-        by_dim: list[set] = []
-        for s in cleaned:
-            p = len(s) - 1
-            while len(by_dim) <= p:
-                by_dim.append(set())
-            for q in range(p + 1):
-                for face in combinations(s, q + 1):
-                    by_dim[q].add(face)
-        if not by_dim:
-            by_dim.append(set())
-        by_dim[0].update((v,) for v in range(vertex_count))
-        return cls(vertex_count, by_dim)
+        top = max((len(s) for s in cleaned), default=1)
+
+        def faces(n):
+            # a simplex of the family is its own top face, not a copy
+            level = {s for s in cleaned if len(s) == n}
+            for s in cleaned:
+                if len(s) > n:
+                    level.update(combinations(s, n))
+            if n == 1:
+                level.update((v,) for v in range(vertex_count))
+            return level
+
+        # one level's face set at a time, freed once it is sorted
+        return cls(vertex_count, (faces(n) for n in range(1, top + 1)))
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,8 @@ edge or a vertex of each factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .complexes import SimplicialComplex, _natural
 from .cocycles import OneCocycle, validate_closed
@@ -258,10 +260,17 @@ class CoveringData:
 def cyclic_cover(base: SimplicialComplex, theta: OneCocycle, sheets: int) -> CoveringData:
     """Connected-or-not cyclic cover determined by theta reduced mod sheets.
 
-    A simplex (v0 < ... < vp) lifts, for each starting sheet r, to the
-    simplex whose vertex vj sits on sheet r + theta(v0, vj).  Closedness of
-    theta makes the lift independent of the choice of leading vertex, which
-    is exactly what face closure needs.
+    Every level of the base is lifted directly: a simplex (v0 < ... < vp)
+    lifts, for each sheet r of its leading vertex, to the simplex whose
+    vertex vj sits on sheet r + theta(v0, vj), read as
+    ``theta.values[(v0, vj)]`` since v0 < vj.  Closedness of theta makes
+    the lift independent of the choice of leading vertex, so each face of a
+    lifted simplex is the lift of a face and every lifted level is
+    face-closed; no face closure runs.  Vertex vj on sheet x is
+    vj * sheets + x, so a lift is increasing, and grouping a sorted level
+    by v0, then by r, keeps each lifted level sorted.  An edge of the cover
+    carries the value of the base edge it lifts, keyed by the cover's own
+    edge tuple.
     """
     if sheets < 1:
         raise ConstructionError("sheets must be a positive integer")
@@ -269,26 +278,24 @@ def cyclic_cover(base: SimplicialComplex, theta: OneCocycle, sheets: int) -> Cov
         raise ConstructionError("covers need an integer cocycle")
     if not validate_closed(base, theta):
         raise ConstructionError("cocycle is not closed on the base")
-
-    def vid(v, r):
-        return v * sheets + r % sheets
-
-    maximal = set()
-    for s in base.maximal_simplices():
-        v0 = s[0]
-        offsets = [theta.value(v0, v) if v != v0 else 0 for v in s]
-        for r in range(sheets):
-            maximal.add(tuple(sorted(vid(v, r + o) for v, o in zip(s, offsets))))
-    cover = SimplicialComplex.build(
-        sorted(maximal), vertex_count=base.vertex_count * sheets
-    )
+    values = theta.values
+    levels = []
+    for level in base.simplices:
+        lifted = []
+        for v0, group in groupby(level, itemgetter(0)):
+            rests = [[(v * sheets, values[v0, v]) for v in s[1:]] for s in group]
+            for r in range(sheets):
+                head = (v0 * sheets + r,)
+                for rest in rests:
+                    lifted.append(head + tuple([w + (r + x) % sheets for w, x in rest]))
+        levels.append(lifted)
+    cover = SimplicialComplex(base.vertex_count * sheets, levels)
     expect = tuple(c * sheets for c in base.counts())
     if cover.counts() != expect:
         raise ConstructionError(
             f"lift produced counts {cover.counts()}, expected {expect}"
         )
-    values = {e: theta.value(e[0] // sheets, e[1] // sheets) for e in cover.edges}
-    lift = OneCocycle(values)
+    lift = OneCocycle({e: values[e[0] // sheets, e[1] // sheets] for e in cover.edges})
     return CoveringData(base, sheets, cover, lift, theta)
 
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .cocycles import OneCocycle, validate_closed
+from .cocycles import OneCocycle, _forest, validate_closed
 from .errors import BackendMismatchError, NumericalError
 from .scalars import (
     Matrix,
@@ -229,22 +229,42 @@ def _laurent_rows(k: SimplicialComplex, theta: OneCocycle, p: int, dropped):
 
 
 def _eliminate(rows, ncols):
-    """Pair elimination in place on the Laurent rows of one delta_p.
+    """Pair elimination in place on the Laurent rows of one delta_p, p >= 1.
 
-    Each row in turn pivots on a +-t**e entry whose column is shortest;
-    every other row of that column takes the Schur complement
-    row -= (entry / pivot) * pivot row.  Pivot rows become None and pivot
-    columns leave every row.  Returns the pivots as (row, column, unit).
+    A free row, whose one live entry is a unit +-t**e, is paired first: no
+    other entry of it is live, so it needs no Schur update (coreduction;
+    Mrozek-Batko, 2009).  When no row is free, the next row in order
+    pivots on a unit entry whose column is shortest, and every other row
+    of that column takes the Schur complement
+    row -= (entry / pivot) * pivot row.  Pivot rows become None.  A pivot
+    column is marked dead and stays in the rows that hold it, so a reader
+    filters dead columns out, as ``reduce`` does once per residual.
+    Returns the pivots as (row, column, unit).
     """
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
         for c in row:
             holders[c].add(r)
+    live = [len(row) for row in rows]
+    dead = bytearray(ncols)
+    free = [r for r in range(len(rows) - 1, -1, -1) if live[r] == 1]  # lowest on top
     pivots = []
-    for b, row in enumerate(rows):
+    b = 0
+    while True:
+        if free:
+            r = free.pop()
+            if live[r] != 1:  # the row has gained an entry since it was pushed
+                continue
+        elif b < len(rows):
+            r, b = b, b + 1
+        else:
+            return pivots
+        row = rows[r]
+        if row is None:
+            continue
         a = None
         for c, ent in row.items():
-            if len(ent) == 1 and (a is None or len(holders[c]) < len(holders[a])):
+            if not dead[c] and len(ent) == 1 and (a is None or len(holders[c]) < len(holders[a])):
                 ((_, y),) = ent.items()
                 if y == 1 or y == -1:
                     a = c
@@ -252,20 +272,27 @@ def _eliminate(rows, ncols):
             continue
         unit = row[a]
         ((e, s),) = unit.items()
-        pivots.append((b, a, unit))
-        rows[b] = None
-        for c in row:
-            holders[c].discard(b)
-        rest = [(c, ent, holders[c]) for c, ent in row.items() if c != a]
-        for j in holders[a]:
+        pivots.append((r, a, unit))
+        rows[r] = None
+        dead[a] = 1
+        # the other live entries divided by -unit; s is +-1, its own inverse
+        rest = [
+            (c, [(x - e, -y * s) for x, y in ent.items()], holders[c])
+            for c, ent in row.items() if not dead[c]
+        ]
+        held_a = holders[a]
+        held_a.discard(r)
+        for _, _, held in rest:
+            held.discard(r)
+        for j in held_a:
             target = rows[j]
-            # -(entry / unit); s is +-1, its own inverse
-            factor = [(x - e, -y * s) for x, y in target.pop(a).items()]
+            n = live[j] - 1
+            factor = target[a].items()
             for c, ent, held in rest:
                 old = target.get(c)
                 new = dict(old) if old else {}
                 for x, y in factor:
-                    for x2, y2 in ent.items():
+                    for x2, y2 in ent:
                         z = x + x2
                         v = new.get(z, 0) + y * y2
                         if v:
@@ -274,37 +301,54 @@ def _eliminate(rows, ncols):
                             del new[z]
                 if new:
                     target[c] = new
-                    held.add(j)
+                    if not old:
+                        held.add(j)
+                        n += 1
                 elif old:
                     del target[c]
                     held.discard(j)
-    return pivots
+                    n -= 1
+            live[j] = n
+            if n == 1:
+                free.append(j)
 
 
 def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
     """Shrink the twisted complex of (k, theta) over Z[t, 1/t], for every lambda.
 
-    Degree by degree, pairs (a in C^p, b in C^{p+1}) are eliminated on a
-    unit entry of delta_p: the Schur complement replaces delta_p, row a of
-    delta_{p-1} is deleted and column b of delta_{p+1} is dropped when
-    degree p + 1 is assembled.  The deletions rely on delta delta = 0, so
-    theta must be closed, and that is checked first.  Entries keep integer
-    coefficients, and a real theta gives real exponents.
+    Pairs (a in C^p, b in C^{p+1}) are eliminated on a unit entry of
+    delta_p: the Schur complement replaces delta_p, row a of delta_{p-1} is
+    deleted and column b of delta_{p+1} is dropped when degree p + 1 is
+    assembled.  The deletions rely on delta delta = 0, so theta must be
+    closed, and that is checked first.  Degree 0 needs no elimination: the
+    spanning-forest walk ``cocycles._forest`` pairs each vertex but a
+    component's root with its tree edge, and a non-tree edge (a, b) keeps
+    the row t**(theta(a, b) - f(b)) - t**(-f(a)) at its root, which is
+    t**(-f(a)) (t**holonomy - 1) for the potential f of the walk.  Degrees
+    p >= 1 run ``_eliminate``.  Entries keep integer coefficients, and a
+    real theta gives real exponents.
     """
     _require_closed(k, theta)
-    sizes, deltas = [], []
-    dropped = set()  # p-cells paired with a (p-1)-cell
-    below = []  # rows of delta_{p-1}, keyed by p-cell, awaiting row deletion
-    below_number = {}
-    for p in range(k.dim + 1):
+    f, root, tree = _forest(k, theta)
+    values = theta.values
+    roots = [v for v in range(k.vertex_count) if root[v] == v]
+    below_number = {v: i for i, v in enumerate(roots)}
+    below = [None] * len(k.edges)  # rows of delta_0 for the non-tree edges
+    for i, e in enumerate(k.edges):
+        if i not in tree:
+            x, y = values[e] - f[e[1]], -f[e[0]]
+            below[i] = {root[e[0]]: {x: 1, y: -1}} if x != y else {}
+    sizes, deltas = [len(roots)], []
+    dropped = tree  # p-cells paired with a (p-1)-cell
+    for p in range(1, k.dim + 1):
         rows = _laurent_rows(k, theta, p, dropped)
         paired = _eliminate(rows, k.n_simplices(p))
         gone = dropped | {a for _, a, _ in paired}
         keep = [c for c in range(k.n_simplices(p)) if c not in gone]
-        if p:
-            deltas.append(tuple(
-                {below_number[c]: ent for c, ent in below[r].items()} for r in keep
-            ))
+        deltas.append(tuple(
+            {below_number[c]: ent for c, ent in below[r].items() if c in below_number}
+            for r in keep
+        ))
         sizes.append(len(keep))
         dropped = {b for b, _, _ in paired}
         below = rows
