@@ -16,9 +16,13 @@ Betti numbers do not need the full complex.  With t standing for lambda,
 every nonzero coboundary entry is t**theta(e) or +-1, a unit of the ring
 Z[t, 1/t] of Laurent polynomials.  ``reduce`` checks that theta is closed
 and eliminates pairs of cells on unit entries once, before any lambda is
-chosen (Kaczynski-Mrozek-Slusarek, 1998; Skoldberg, 2006); what is left is
-a residual complex, often of about the size of its cohomology, with the
-same cohomology at every lambda != 0.  The residual is a held value, and
+chosen (Kaczynski-Mrozek-Slusarek, 1998; Skoldberg, 2006): degree 0 along
+the spanning-forest walk that ``cocycles.is_exact`` reads too, which leaves
+a row t**holonomy - 1 (up to a unit) per non-tree edge, and each higher
+degree by ``_eliminate``, which pairs free rows first, with no Schur
+update.  What is left is a residual complex, often of about the size of
+its cohomology, with the same cohomology at every lambda != 0.  The
+residual is a held value, and
 ``Reduction.profile`` evaluates it at any lambda, as often as asked:
 
     dims[p] = #residual C^p - rank delta_p - rank delta_{p-1},
@@ -231,15 +235,15 @@ def _laurent_rows(k: SimplicialComplex, theta: OneCocycle, p: int, dropped):
 def _eliminate(rows, ncols):
     """Pair elimination in place on the Laurent rows of one delta_p, p >= 1.
 
-    A free row, whose one live entry is a unit +-t**e, is paired first: no
-    other entry of it is live, so it needs no Schur update (coreduction;
-    Mrozek-Batko, 2009).  When no row is free, the next row in order
-    pivots on a unit entry whose column is shortest, and every other row
-    of that column takes the Schur complement
-    row -= (entry / pivot) * pivot row.  Pivot rows become None.  A pivot
-    column is marked dead and stays in the rows that hold it, so a reader
-    filters dead columns out, as ``reduce`` does once per residual.
-    Returns the pivots as (row, column, unit).
+    A row is taken up as soon as it is free, with one live entry: when
+    that entry is a unit +-t**e, no other entry of the row is live, so the
+    pair needs no Schur update (coreduction; Mrozek-Batko, 2009).  When no
+    row is free, the next row in order is taken up.  A row pivots on a unit
+    entry whose column is shortest, and every other row of that column
+    takes the Schur complement row -= (entry / pivot) * pivot row.  Pivot
+    rows become None.  A pivot column is marked dead and stays in the rows
+    that hold it, so a reader filters dead columns out, as ``reduce`` does
+    once per residual.  Returns the pivots as (row, column, unit).
     """
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
@@ -248,16 +252,11 @@ def _eliminate(rows, ncols):
     live = [len(row) for row in rows]
     dead = bytearray(ncols)
     free = [r for r in range(len(rows) - 1, -1, -1) if live[r] == 1]  # lowest on top
+    in_order = iter(range(len(rows)))
     pivots = []
-    b = 0
     while True:
-        if free:
-            r = free.pop()
-            if live[r] != 1:  # the row has gained an entry since it was pushed
-                continue
-        elif b < len(rows):
-            r, b = b, b + 1
-        else:
+        r = free.pop() if free else next(in_order, None)
+        if r is None:
             return pivots
         row = rows[r]
         if row is None:
@@ -337,6 +336,7 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
     for i, e in enumerate(k.edges):
         if i not in tree:
             x, y = values[e] - f[e[1]], -f[e[0]]
+            # a zero holonomy cancels the row
             below[i] = {root[e[0]]: {x: 1, y: -1}} if x != y else {}
     sizes, deltas = [len(roots)], []
     dropped = tree  # p-cells paired with a (p-1)-cell

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import boundary, coboundary, dense, dense_route_dims
 from novikov import cli, twisted, verify
-from novikov.cocycles import OneCocycle, ZeroCochain, gauge_transform, zero_cocycle
+from novikov.cocycles import OneCocycle, ZeroCochain, _forest, gauge_transform, zero_cocycle
 from novikov.complexes import (
     SimplicialComplex,
     circle,
@@ -440,8 +440,19 @@ def test_reduce_shrinks_torus3_and_its_covers_to_their_cohomology():
     for kk, tt, sizes in cases:
         red = reduce(kk, tt)
         assert red.sizes == sizes
-        dropped, paired_below = set(), 0
-        for p in range(kk.dim + 1):
+        # degree 0 of reduce, replayed: the forest walk pairs each vertex but
+        # a root with its tree edge, a row whose every entry is a unit
+        _, root, tree = _forest(kk, tt)
+        rows = _laurent_rows(kk, tt, 0, ())
+        for i in tree:
+            for unit in rows[i].values():
+                ((_, c),) = unit.items()
+                assert c in (1, -1)
+        assert sizes[0] == len(set(root)) == kk.n_simplices(0) - len(tree)
+        dropped, paired_below = tree, len(tree)
+        assert len(red.deltas[0]) == sizes[1]
+        assert all(0 <= c < sizes[0] for row in red.deltas[0] for c in row)
+        for p in range(1, kk.dim + 1):
             # degree p of reduce, replayed to see its pivots
             pivots = _eliminate(_laurent_rows(kk, tt, p, dropped), kk.n_simplices(p))
             for _, _, unit in pivots:
@@ -453,6 +464,95 @@ def test_reduce_shrinks_torus3_and_its_covers_to_their_cohomology():
             assert len(red.deltas[p]) == (sizes[p + 1] if p < kk.dim else 0)
             assert all(0 <= c < sizes[p] for row in red.deltas[p] for c in row)
         assert paired_below == 0  # nothing sits above the top degree
+
+
+def seeded_reduce_case(shape, seed, real):
+    """(complex, closed cocycle) of one shape of the reduce property test."""
+    rng = random.Random(seed)
+    if shape == "dim 0":
+        k, theta = SimplicialComplex.build([], vertex_count=rng.randint(1, 4)), OneCocycle({})
+    else:
+        k, loop = random_small_complex(rng)
+        theta = random_closed_cocycle(k, rng, loop)
+    if shape == "disconnected":
+        other, loop = random_small_complex(rng)
+        gamma = random_closed_cocycle(other, rng, loop)
+        n = k.vertex_count
+        shifted = [tuple(v + n for v in s) for s in other.maximal_simplices()]
+        k = SimplicialComplex.build(k.maximal_simplices() + shifted, n + other.vertex_count)
+        values = dict(theta.values)
+        values.update({(u + n, v + n): x for (u, v), x in gamma.values.items()})
+        theta = OneCocycle(values)
+    elif shape == "trailing":
+        extra = rng.randint(1, 3)
+        k = SimplicialComplex.build(k.maximal_simplices(), k.vertex_count + extra)
+    if real:
+        theta = OneCocycle({e: 0.37 * x for e, x in theta.values.items()}, mode="float")
+    return k, theta
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(("random", "disconnected", "trailing", "dim 0")),
+    seed=st.integers(0, 2**16),
+    lam=st.sampled_from(
+        (Fraction(1), Fraction(2), Fraction(-7, 9), NF_LAMBDA, 0.625, 1.0, -1.0 + 0.5j)
+    ),
+    real=st.booleans(),
+)
+# every shape, every kind of lambda and the real cocycle at each float lambda
+@example(shape="random", seed=1, lam=Fraction(2), real=False)
+@example(shape="disconnected", seed=2, lam=NF_LAMBDA, real=False)
+@example(shape="trailing", seed=3, lam=Fraction(-7, 9), real=False)
+@example(shape="dim 0", seed=4, lam=Fraction(1), real=False)
+@example(shape="random", seed=5, lam=0.625, real=True)
+@example(shape="disconnected", seed=6, lam=1.0, real=True)
+@example(shape="trailing", seed=7, lam=-1.0 + 0.5j, real=True)
+@example(shape="dim 0", seed=8, lam=0.625, real=True)
+def test_reduce_matches_the_dense_route_on_seeded_inputs(shape, seed, lam, real):
+    # a real cocycle needs a float lambda
+    assume(not real or isinstance(lam, (float, complex)))
+    k, theta = seeded_reduce_case(shape, seed, real)
+    if lam == NF_LAMBDA:
+        lam = parse_scalar(lam)
+    red = reduce(k, theta)
+    assert red.profile(lam).dims == dense_route_dims(k, theta, lam)
+    assert red.sizes[0] == len(set(_forest(k, theta)[1]))
+
+
+# residual sizes of reduce when degree 0 was eliminated like every other
+# degree and no free row came first; the forest walk and free rows must not
+# leave a larger residual anywhere
+RESIDUAL_SIZES_BEFORE = {
+    **{(f, s): (1, 1) for f in ("circle3",) for s in range(1, 6)},
+    **{(f, s): (1, 2, 1) for f in ("torus2",) for s in range(1, 6)},
+    **{(f, s): (1, 3, 3, 1) for f in ("torus3",) for s in range(1, 6)},
+    ("torus3 x circle3", 1): (1, 4, 6, 4, 1),
+    ("torus3 x circle3", 3): (1, 4, 6, 4, 1),
+    ("identity", 1): (1, 3, 3, 1),
+    ("flip", 1): (1, 3, 3, 1),
+    ("swap", 1): (1, 2, 2, 1),
+    ("order six", 1): (1, 2, 2, 1),
+}
+
+
+def test_residuals_are_no_larger_than_before():
+    inputs = {f: load_complex(FIXTURES / f"{f}.json") for f in ("circle3", "torus2", "torus3")}
+    prod = product(inputs["torus3"][0], inputs["circle3"][0])
+    inputs["torus3 x circle3"] = (
+        prod.complex, prod.combine_cocycles(inputs["torus3"][1], inputs["circle3"][1])
+    )
+    for name, gluing in GLUINGS.items():
+        mt = mapping_torus(torus_grid(3), torus_grid_map(3, gluing), layers=3)
+        inputs[name] = (mt.complex, mt.fiber_cocycle)
+    for (name, sheets), before in RESIDUAL_SIZES_BEFORE.items():
+        k, theta = inputs[name]
+        if sheets > 1:
+            cover = cyclic_cover(k, theta, sheets)
+            k, theta = cover.complex, cover.theta_lift
+        sizes = reduce(k, theta).sizes
+        assert len(sizes) == len(before), (name, sheets)
+        assert all(a <= b for a, b in zip(sizes, before)), (name, sheets, sizes)
 
 
 def test_float_residual_rounding_noise_is_not_rank():
