@@ -524,9 +524,9 @@ def test_reduce_matches_the_dense_route_on_seeded_inputs(shape, seed, lam, real)
 # degree and no free row came first; the forest walk and free rows must not
 # leave a larger residual anywhere
 RESIDUAL_SIZES_BEFORE = {
-    **{(f, s): (1, 1) for f in ("circle3",) for s in range(1, 6)},
-    **{(f, s): (1, 2, 1) for f in ("torus2",) for s in range(1, 6)},
-    **{(f, s): (1, 3, 3, 1) for f in ("torus3",) for s in range(1, 6)},
+    **{("circle3", s): (1, 1) for s in range(1, 6)},
+    **{("torus2", s): (1, 2, 1) for s in range(1, 6)},
+    **{("torus3", s): (1, 3, 3, 1) for s in range(1, 6)},
     ("torus3 x circle3", 1): (1, 4, 6, 4, 1),
     ("torus3 x circle3", 3): (1, 4, 6, 4, 1),
     ("identity", 1): (1, 3, 3, 1),
