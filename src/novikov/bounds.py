@@ -3,7 +3,8 @@
 Three families live here, plain numerics on ``math`` and ``numpy``:
 
 * ``wallis(n)`` evaluates omega_n = integral_0^pi sin^{n-1} t dt through the
-  classical two-step recurrence.
+  classical two-step recurrence below n = 64, and in constant time by the
+  asymptotic series of sqrt(pi) Gamma(n/2) / Gamma((n+1)/2) above.
 * ``c_of_b(n, b)`` solves x * integral_0^b (cosh t + x sinh t)^{n-1} dt =
   omega_n for its unique positive root: one fixed Gauss-Legendre rule on
   equal panels, exact to rounding with no tolerance, under bisection in log
@@ -40,6 +41,7 @@ from .errors import NumericalError
 _LOG_MAX = math.log(np.finfo(float).max)
 _ROOT_TOL = 1e-12  # bound on |x * integral - omega_n| at the returned C(b)
 _PRODUCT_CUT = 1e-12  # B_n stops at the first log-increment below this
+_SERIES_FROM = 64  # wallis(n) leaves the recurrence for its asymptotic series here
 
 __all__ = [
     "wallis",
@@ -55,9 +57,23 @@ __all__ = [
 
 
 def wallis(n: int) -> float:
-    """integral_0^pi sin^{n-1} t dt by the recurrence I_m = I_{m-2} (m-1)/m."""
+    """integral_0^pi sin^{n-1} t dt = sqrt(pi) Gamma(x) / Gamma(x + 1/2), x = n/2.
+
+    Below n = _SERIES_FROM by the recurrence I_m = I_{m-2} (m-1)/m, whose
+    rounding grows with n (3.3e-14 relative at n = 10**6); from there on in
+    constant time by the asymptotic series
+    log(Gamma(x) / Gamma(x + 1/2)) = -log(x)/2 + sum_k c_k x**-k, which is
+    within 2 ulp (``math.lgamma`` would be 5.5e-10 off at n = 10**6).
+    """
     if n < 2:
         raise ValueError("wallis integral needs n >= 2")
+    if n >= _SERIES_FROM:
+        x = n / 2
+        y = 1 / (x * x)
+        # c_k = B_{k+1} (2 - 2**-k) / (k (k+1)) for odd k, B the Bernoulli
+        # numbers; the first term dropped is below 1e-19 at x = 32
+        s = (1 / 8 - y * (1 / 192 - y * (1 / 640 - y * (17 / 14336 - y * (31 / 18432))))) / x
+        return math.sqrt(math.pi / x) * math.exp(s)
     before, last = math.pi, 2.0
     for m in range(2, n):
         before, last = last, before * (m - 1) / m

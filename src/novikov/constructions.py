@@ -10,7 +10,7 @@ edge or a vertex of each factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .complexes import SimplicialComplex, _natural
@@ -267,10 +267,14 @@ def cyclic_cover(base: SimplicialComplex, theta: OneCocycle, sheets: int) -> Cov
     the lift independent of the choice of leading vertex, so each face of a
     lifted simplex is the lift of a face and every lifted level is
     face-closed; no face closure runs.  Vertex vj on sheet x is
-    vj * sheets + x, so a lift is increasing, and grouping a sorted level
-    by v0, then by r, keeps each lifted level sorted.  An edge of the cover
-    carries the value of the base edge it lifts, keyed by the cover's own
-    edge tuple.
+    vj * sheets + x, so a lift is increasing.  All sheets of a simplex are
+    lifted at once: vertex vj's column over r = 0..s-1 is a slice of its
+    ring, the tuple of its s cover vertices repeated twice, from
+    theta(v0, vj) mod s, and one zip of the columns gives the s lifts.
+    Another zip takes the simplices of one v0 sheet by sheet, so each
+    lifted level comes out sorted; nothing grows as sheets**2.  An edge of
+    the cover carries the value of the base edge it lifts, keyed by the
+    cover's own edge tuple.
     """
     if sheets < 1:
         raise ConstructionError("sheets must be a positive integer")
@@ -279,15 +283,21 @@ def cyclic_cover(base: SimplicialComplex, theta: OneCocycle, sheets: int) -> Cov
     if not validate_closed(base, theta):
         raise ConstructionError("cocycle is not closed on the base")
     values = theta.values
+    ring = [tuple(range(v * sheets, v * sheets + sheets)) * 2 for v in range(base.vertex_count)]
     levels = []
     for level in base.simplices:
         lifted = []
         for v0, group in groupby(level, itemgetter(0)):
-            rests = [[(v * sheets, values[v0, v]) for v in s[1:]] for s in group]
-            for r in range(sheets):
-                head = (v0 * sheets + r,)
-                for rest in rests:
-                    lifted.append(head + tuple([w + (r + x) % sheets for w, x in rest]))
+            own = ring[v0][:sheets]
+            lifts = []
+            for s in group:
+                columns = [own]
+                for v in s[1:]:
+                    x = values[v0, v] % sheets
+                    columns.append(ring[v][x : x + sheets])
+                lifts.append(zip(*columns))  # the simplex on each sheet of v0
+            # sheet-major within the v0 group, so the level stays sorted
+            lifted.extend(chain.from_iterable(zip(*lifts)))
         levels.append(lifted)
     cover = SimplicialComplex(base.vertex_count * sheets, levels)
     expect = tuple(c * sheets for c in base.counts())

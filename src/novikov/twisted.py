@@ -16,12 +16,14 @@ Betti numbers do not need the full complex.  With t standing for lambda,
 every nonzero coboundary entry is t**theta(e) or +-1, a unit of the ring
 Z[t, 1/t] of Laurent polynomials.  ``reduce`` checks that theta is closed
 and eliminates pairs of cells on unit entries once, before any lambda is
-chosen (Kaczynski-Mrozek-Slusarek, 1998; Skoldberg, 2006): degree 0 along
-the spanning-forest walk that ``cocycles.is_exact`` reads too, which leaves
-a row t**holonomy - 1 (up to a unit) per non-tree edge, and each higher
-degree by ``_eliminate``, which pairs free rows first, with no Schur
-update.  What is left is a residual complex, often of about the size of
-its cohomology, with the same cohomology at every lambda != 0.  The
+chosen (Kaczynski-Mrozek-Slusarek, 1998; Forman, 1998; Skoldberg, 2006):
+degree 0 along the spanning-forest walk that ``cocycles.is_exact`` reads
+too, which leaves a row t**holonomy - 1 (up to a unit) per non-tree edge;
+the top degree along a spanning forest of the dual graph, its transpose,
+where every (d-1)-face of a closed d-manifold has two top cofaces; and each
+degree between by ``_eliminate``, which pairs free rows first, with no
+Schur update.  What is left is a residual complex, often of about the size
+of its cohomology, with the same cohomology at every lambda != 0.  The
 residual is a held value, and
 ``Reduction.profile`` evaluates it at any lambda, as often as asked:
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -233,7 +236,7 @@ def _laurent_rows(k: SimplicialComplex, theta: OneCocycle, p: int, dropped):
 
 
 def _eliminate(rows, ncols):
-    """Pair elimination in place on the Laurent rows of one delta_p, p >= 1.
+    """Pair elimination in place on the Laurent rows of one delta_p, 1 <= p <= dim - 2.
 
     A row is taken up as soon as it is free, with one live entry: when
     that entry is a unit +-t**e, no other entry of the row is live, so the
@@ -243,7 +246,8 @@ def _eliminate(rows, ncols):
     takes the Schur complement row -= (entry / pivot) * pivot row.  Pivot
     rows become None.  A pivot column is marked dead and stays in the rows
     that hold it, so a reader filters dead columns out, as ``reduce`` does
-    once per residual.  Returns the pivots as (row, column, unit).
+    once per residual.  Returns the pivots as (row, column, unit) and each
+    row's count of live entries, what a row left unpaired keeps.
     """
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
@@ -257,7 +261,7 @@ def _eliminate(rows, ncols):
     while True:
         r = free.pop() if free else next(in_order, None)
         if r is None:
-            return pivots
+            return pivots, live
         row = rows[r]
         if row is None:
             continue
@@ -312,6 +316,109 @@ def _eliminate(rows, ncols):
                 free.append(j)
 
 
+def _dual_forest(rows, ncols, weight):
+    """Pair the top degree in place along a spanning forest of the dual graph.
+
+    ``rows`` is delta_{d-1} over Z[t, 1/t] straight from ``_laurent_rows``,
+    one row per d-simplex, every entry a unit.  The top simplices are the
+    nodes; two are joined through each column that exactly two of them
+    hold, and a column with one holder grounds its component.  A row T
+    reached from P through column c pairs with c and carries the unit
+    u(T) = -u(P) M[P, c] / M[T, c], with u = 1 at its component's root.
+    Eliminating those pairs from the leaves up adds u(T) row T into the
+    root, and the Schur update of each pair touches its parent alone, so
+    the root keeps sum u(T) M[T, c] on every column c the tree leaves: the
+    transpose of degree 0's forest walk.  In a grounded component the root
+    then pairs with the grounding column, which no other row holds, and
+    nothing is kept.
+
+    ``weight[c]`` counts the entries that column c's own row one degree
+    down carries into the residual; a tree column takes that row out with
+    it.  So the tree is a maximum-weight spanning forest: each component is
+    entered at its last unvisited row, a row reached first takes in every
+    row it reaches through columns of positive weight, heaviest first
+    (Prim), and the walk then goes on breadth first.  Paired rows become
+    None; tree columns stay in the rows that hold them, and a reader drops
+    them with the pivots.  Returns the pivots as (row, column, unit), like
+    ``_eliminate``.
+    """
+    count, mate = [0] * ncols, [0] * ncols
+    heavy = bytearray(len(rows))  # rows holding a column of positive weight
+    for r, row in enumerate(rows):
+        for c in row:
+            count[c] += 1
+            mate[c] ^= r  # of two holders, either one's number xor mate is the other's
+            if weight[c]:
+                heavy[r] = 1
+    unit = [None] * len(rows)  # u(T) = sign * t**exponent, as (exponent, sign)
+    tree = bytearray(ncols)
+    pivots = []
+
+    def attach(r, c):
+        """The row across column c from r joins the tree below r."""
+        other = mate[c] ^ r
+        e, s = unit[r]
+        ((x, y),) = rows[r][c].items()
+        step = rows[other][c]
+        ((x2, y2),) = step.items()
+        unit[other] = (e + x - x2, -s * y * y2)
+        pivots.append((other, c, step))
+        tree[c] = 1
+        component.append(other)
+        return other
+
+    def claim(r):
+        """Every row r reaches through columns of positive weight, heaviest first."""
+        todo = []
+        while True:
+            for c in rows[r]:
+                if weight[c] and count[c] == 2 and unit[mate[c] ^ r] is None:
+                    heappush(todo, (-weight[c], c, r))
+            while todo:
+                _, c, r = heappop(todo)
+                if unit[mate[c] ^ r] is None:
+                    break
+            else:
+                return
+            r = attach(r, c)
+
+    for root in range(len(rows) - 1, -1, -1):
+        if unit[root] is not None:
+            continue
+        unit[root] = (0, 1)
+        component, ground, kept = [root], None, {}
+        if heavy[root]:
+            claim(root)
+        for r in component:  # grows as the walk goes: breadth first
+            e, s = unit[r]
+            for c, ent in rows[r].items():
+                held = count[c]
+                if held == 2 and unit[mate[c] ^ r] is None:
+                    other = attach(r, c)
+                    if heavy[other]:
+                        claim(other)
+                    continue
+                if tree[c]:
+                    continue
+                if held == 1 and ground is None:
+                    ground = c
+                ((x, y),) = ent.items()
+                poly = kept.setdefault(c, {})
+                z = e + x
+                v = poly.get(z, 0) + s * y
+                if v:
+                    poly[z] = v
+                else:
+                    del poly[z]
+            rows[r] = None
+        if ground is not None:
+            # the root's entry there is one monomial: no other row holds it
+            pivots.append((root, ground, kept[ground]))
+        else:
+            rows[root] = {c: poly for c, poly in kept.items() if poly}
+    return pivots
+
+
 def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
     """Shrink the twisted complex of (k, theta) over Z[t, 1/t], for every lambda.
 
@@ -323,8 +430,12 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
     spanning-forest walk ``cocycles._forest`` pairs each vertex but a
     component's root with its tree edge, and a non-tree edge (a, b) keeps
     the row t**(theta(a, b) - f(b)) - t**(-f(a)) at its root, which is
-    t**(-f(a)) (t**holonomy - 1) for the potential f of the walk.  Degrees
-    p >= 1 run ``_eliminate``.  Entries keep integer coefficients, and a
+    t**(-f(a)) (t**holonomy - 1) for the potential f of the walk.  The top
+    degree d - 1 >= 1 needs none either: ``_dual_forest`` pairs each top
+    simplex but a root with a (d-1)-cell along a spanning forest of the
+    dual graph, its transpose, preferring the cells whose rows one degree
+    down are longest, so that what the residual keeps is short.  Degrees 1
+    to d - 2 run ``_eliminate``.  Entries keep integer coefficients, and a
     real theta gives real exponents.
     """
     _require_closed(k, theta)
@@ -338,11 +449,17 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
             x, y = values[e] - f[e[1]], -f[e[0]]
             # a zero holonomy cancels the row
             below[i] = {root[e[0]]: {x: 1, y: -1}} if x != y else {}
+    live = [len(row) if row else 0 for row in below]  # entries each row keeps
     sizes, deltas = [len(roots)], []
     dropped = tree  # p-cells paired with a (p-1)-cell
     for p in range(1, k.dim + 1):
         rows = _laurent_rows(k, theta, p, dropped)
-        paired = _eliminate(rows, k.n_simplices(p))
+        if p < k.dim - 1:
+            paired, live = _eliminate(rows, k.n_simplices(p))
+        elif p == k.dim - 1:
+            paired = _dual_forest(rows, k.n_simplices(p), live)
+        else:
+            paired = ()
         gone = dropped | {a for _, a, _ in paired}
         keep = [c for c in range(k.n_simplices(p)) if c not in gone]
         deltas.append(tuple(
@@ -358,11 +475,17 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
 
 
 def _exact_rows(rows, lam):
-    """Residual rows at an exact lambda: each t**e becomes Fraction(c) * lam**e."""
-    return [
-        {c: sum(Fraction(y) * lam**x for x, y in ent.items()) for c, ent in row.items()}
-        for row in rows
-    ]
+    """Residual rows at an exact lambda, each divided by lam**s, s its least
+    exponent: each t**e becomes Fraction(c) * lam**(e - s).  Scaling a row
+    leaves the rank alone, and no power is negative, so a number-field
+    lambda is never inverted."""
+    scaled = []
+    for row in rows:
+        s = min((x for ent in row.values() for x in ent), default=0)
+        scaled.append(
+            {c: sum(Fraction(y) * lam**(x - s) for x, y in ent.items()) for c, ent in row.items()}
+        )
+    return scaled
 
 
 def _power(lam: complex, x):
