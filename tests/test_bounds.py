@@ -1,4 +1,6 @@
 import math
+import random
+import time
 import tracemalloc
 
 import mpmath
@@ -33,6 +35,30 @@ def test_wallis_small_values():
     assert abs(wallis(5) - 3 * math.pi / 8) < 1e-15
     with pytest.raises(ValueError):
         wallis(1)
+
+
+def test_wallis_is_within_4_ulp_past_the_recurrence():
+    def exact(n):
+        """omega_n = sqrt(pi) Gamma(n/2) / Gamma((n+1)/2) at 30 digits."""
+        with mpmath.workdps(30):
+            half = mpmath.mpf(n) / 2
+            return mpmath.sqrt(mpmath.pi) * mpmath.gamma(half) / mpmath.gamma(half + 0.5)
+
+    rng = random.Random(29)
+    past = [64, 65, 99, 1000, 1001, 12345, 10**6, 10**6 + 1, 10**7, 10**8, 10**8 + 1]
+    past += [rng.randint(64, 10**8) for _ in range(200)]
+    for n in past:
+        omega = exact(n)
+        assert abs(wallis(n) - omega) <= 4 * math.ulp(float(omega)), n
+    # the recurrence below the switch: 2.4e-15 relative off at n = 1000, so
+    # far less than that here
+    for n in range(2, 64):
+        assert abs(wallis(n) - exact(n)) <= 1e-15 * exact(n), n
+    # constant time: the recurrence took about 0.9 s at n = 10**7
+    start = time.perf_counter()
+    for _ in range(1000):
+        wallis(10**8)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_wallis_matches_quadrature():

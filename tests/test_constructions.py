@@ -361,8 +361,13 @@ def test_cyclic_cover_lifts_each_level_as_face_closure_would():
     flip = json.loads((FIXTURES / "torus2_flip_map.json").read_text(encoding="utf-8"))
     mt = mapping_torus(torus2, SimplicialMap(torus2, torus2, flip), 3)
     inputs["flip mapping torus"] = (mt.complex, mt.fiber_cocycle)
+    # not pure: a triangle, a dangling edge and an isolated vertex, with a
+    # coboundary whose values pass +-sheets
+    mixed = SimplicialComplex.build([(0, 1, 2), (2, 3)], vertex_count=5)
+    f = ZeroCochain({0: -13, 1: 4, 2: 11, 3: -9, 4: 7})
+    inputs["triangle, edge and vertex"] = (mixed, coboundary_of(f, mixed))
     for name, (base, cocycle) in inputs.items():
-        for sheets in range(1, 6):
+        for sheets in range(1, 9):
             cover = cyclic_cover(base, cocycle, sheets)
             k, lift = cover.complex, cover.theta_lift
             ref, ref_lift = face_closure_cover(base, cocycle, sheets)
@@ -372,6 +377,21 @@ def test_cyclic_cover_lifts_each_level_as_face_closure_would():
             assert complex_to_json(k, lift) == complex_to_json(ref, OneCocycle(ref_lift))
             assert lift.values == ref_lift
             assert all(key is e for key, e in zip(lift.values, k.edges)), (name, sheets)
+
+
+def test_cyclic_cover_of_many_sheets_holds_no_table_of_sheets_squared():
+    circle3, theta = load_complex(FIXTURES / "circle3.json")
+    cover = cyclic_cover(circle3, theta, 1000)
+    assert cover.complex.counts() == (3000, 3000)
+    # a V * s**2 table of lifted vertices would build 3 * 10**6 ints here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cyclic_cover(circle3, theta, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21, peak
 
 
 def test_face_closure_and_covers_peak_at_most_half_again_what_they_hold():

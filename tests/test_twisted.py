@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from novikov.serialization import load_complex
 from novikov.twisted import (
     BettiProfile,
     _coboundary_rows,
+    _dual_forest,
     _eliminate,
     _laurent_rows,
     _local_system,
@@ -453,8 +455,18 @@ def test_reduce_shrinks_torus3_and_its_covers_to_their_cohomology():
         assert len(red.deltas[0]) == sizes[1]
         assert all(0 <= c < sizes[0] for row in red.deltas[0] for c in row)
         for p in range(1, kk.dim + 1):
-            # degree p of reduce, replayed to see its pivots
-            pivots = _eliminate(_laurent_rows(kk, tt, p, dropped), kk.n_simplices(p))
+            # degree p of reduce, replayed to see its pivots: _eliminate below
+            # the top degree, the dual forest in it, nothing above it
+            rows, n = _laurent_rows(kk, tt, p, dropped), kk.n_simplices(p)
+            if p < kk.dim - 1:
+                pivots, live = _eliminate(rows, n)
+            elif p == kk.dim - 1:
+                # the walk pairs as many cells as elimination would
+                again, _ = _eliminate(copy.deepcopy(rows), n)
+                pivots = _dual_forest(rows, n, live)
+                assert len(pivots) == len(again)
+            else:
+                pivots = []
             for _, _, unit in pivots:
                 ((_, c),) = unit.items()  # a monomial +-t**e
                 assert c in (1, -1)
@@ -466,8 +478,43 @@ def test_reduce_shrinks_torus3_and_its_covers_to_their_cohomology():
         assert paired_below == 0  # nothing sits above the top degree
 
 
+# every kind of top column the dual forest meets: faces with one top coface
+# (a disk, a ball), faces in three top simplices (three disks on one circle,
+# three balls on one 2-sphere) and closed manifolds
+TOP_SHAPES = ("disk", "ball", "branched edge", "branched triangle", "sphere", "torus")
+
+
+def top_shape_case(shape, seed):
+    """(complex, closed integer cocycle) of one of TOP_SHAPES."""
+    rng = random.Random(seed)
+    m = rng.randint(3, 6)
+    rim = [(i, (i + 1) % m) for i in range(m)]
+    if shape == "torus":
+        k, theta = winding_torus(3, rng.randint(1, 2))
+        return k, gauged(k, theta, rng.randrange(100))
+    if shape == "sphere":
+        k = sphere_boundary(2 + seed % 3)
+    else:
+        maximal = {
+            "disk": [(i, j, m) for i, j in rim],
+            "ball": [(i, j, m, m + 1) for i, j in rim],
+            "branched edge": [(i, j, m + a) for i, j in rim for a in range(3)],
+            "branched triangle": [f + (4 + a,) for f in combinations(range(4), 3) for a in range(3)],
+        }[shape]
+        k = SimplicialComplex.build(maximal)
+    return k, random_closed_cocycle(k, rng)
+
+
 def seeded_reduce_case(shape, seed, real):
     """(complex, closed cocycle) of one shape of the reduce property test."""
+    if shape in TOP_SHAPES:
+        k, theta = top_shape_case(shape, seed)
+        if real:
+            # the walk's units multiply float exponents: a harmonic
+            # representative closes only up to rounding
+            scaled = OneCocycle({e: 0.37 * x for e, x in theta.values.items()}, mode="float")
+            theta = harmonic_representative(k, scaled)
+        return k, theta
     rng = random.Random(seed)
     if shape == "dim 0":
         k, theta = SimplicialComplex.build([], vertex_count=rng.randint(1, 4)), OneCocycle({})
@@ -491,9 +538,22 @@ def seeded_reduce_case(shape, seed, real):
     return k, theta
 
 
+def every_top_shape(test):
+    """An explicit example of each of TOP_SHAPES at an exact, a number-field
+    and a float lambda, and with a real cocycle; the sphere in dimensions 2,
+    3 and 4."""
+    for seed, shape in enumerate(TOP_SHAPES):
+        for lam, real in ((Fraction(2), False), (NF_LAMBDA, False), (-1.0 + 0.5j, False), (0.625, True)):
+            test = example(shape=shape, seed=seed, lam=lam, real=real)(test)
+    for seed in (0, 1, 2):
+        test = example(shape="sphere", seed=seed, lam=Fraction(-7, 9), real=False)(test)
+    return test
+
+
+@every_top_shape
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    shape=st.sampled_from(("random", "disconnected", "trailing", "dim 0")),
+    shape=st.sampled_from(("random", "disconnected", "trailing", "dim 0", *TOP_SHAPES)),
     seed=st.integers(0, 2**16),
     lam=st.sampled_from(
         (Fraction(1), Fraction(2), Fraction(-7, 9), NF_LAMBDA, 0.625, 1.0, -1.0 + 0.5j)
@@ -521,19 +581,25 @@ def test_reduce_matches_the_dense_route_on_seeded_inputs(shape, seed, lam, real)
 
 
 # residual sizes of reduce when degree 0 was eliminated like every other
-# degree and no free row came first; the forest walk and free rows must not
-# leave a larger residual anywhere
-RESIDUAL_SIZES_BEFORE = {
-    **{("circle3", s): (1, 1) for s in range(1, 6)},
-    **{("torus2", s): (1, 2, 1) for s in range(1, 6)},
-    **{("torus3", s): (1, 3, 3, 1) for s in range(1, 6)},
-    ("torus3 x circle3", 1): (1, 4, 6, 4, 1),
-    ("torus3 x circle3", 3): (1, 4, 6, 4, 1),
-    ("identity", 1): (1, 3, 3, 1),
-    ("flip", 1): (1, 3, 3, 1),
-    ("swap", 1): (1, 2, 2, 1),
-    ("order six", 1): (1, 2, 2, 1),
+# degree and no free row came first, and the residual's monomial count when
+# the top degree still ran through _eliminate; the forest walks and free
+# rows must not leave a larger residual anywhere
+RESIDUAL_BEFORE = {
+    **{("circle3", s): ((1, 1), 2) for s in range(1, 6)},
+    **{("torus2", s): ((1, 2, 1), 4) for s in range(1, 6)},
+    **{("torus3", s): ((1, 3, 3, 1), 8 if s < 4 else 10) for s in range(1, 6)},
+    ("torus3 x circle3", 1): ((1, 4, 6, 4, 1), 34),
+    ("torus3 x circle3", 3): ((1, 4, 6, 4, 1), 18),
+    ("identity", 1): ((1, 3, 3, 1), 10),
+    ("flip", 1): ((1, 3, 3, 1), 22),
+    ("swap", 1): ((1, 2, 2, 1), 6),
+    ("order six", 1): ((1, 2, 2, 1), 7),
 }
+
+
+def monomials(red):
+    """Monomials in all of a residual's Laurent entries."""
+    return sum(len(ent) for rows in red.deltas for row in rows for ent in row.values())
 
 
 def test_residuals_are_no_larger_than_before():
@@ -545,14 +611,15 @@ def test_residuals_are_no_larger_than_before():
     for name, gluing in GLUINGS.items():
         mt = mapping_torus(torus_grid(3), torus_grid_map(3, gluing), layers=3)
         inputs[name] = (mt.complex, mt.fiber_cocycle)
-    for (name, sheets), before in RESIDUAL_SIZES_BEFORE.items():
+    for (name, sheets), (before, terms) in RESIDUAL_BEFORE.items():
         k, theta = inputs[name]
         if sheets > 1:
             cover = cyclic_cover(k, theta, sheets)
             k, theta = cover.complex, cover.theta_lift
-        sizes = reduce(k, theta).sizes
-        assert len(sizes) == len(before), (name, sheets)
-        assert all(a <= b for a, b in zip(sizes, before)), (name, sheets, sizes)
+        red = reduce(k, theta)
+        assert len(red.sizes) == len(before), (name, sheets)
+        assert all(a <= b for a, b in zip(red.sizes, before)), (name, sheets, red.sizes)
+        assert monomials(red) <= terms, (name, sheets, monomials(red))
 
 
 def test_float_residual_rounding_noise_is_not_rank():
