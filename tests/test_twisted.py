@@ -510,7 +510,7 @@ def seeded_reduce_case(shape, seed, real):
     if shape in TOP_SHAPES:
         k, theta = top_shape_case(shape, seed)
         if real:
-            # the walk's units multiply float exponents: a harmonic
+            # the walk's units sum float exponents, and a harmonic
             # representative closes only up to rounding
             scaled = OneCocycle({e: 0.37 * x for e, x in theta.values.items()}, mode="float")
             theta = harmonic_representative(k, scaled)
