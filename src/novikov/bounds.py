@@ -68,7 +68,10 @@ def wallis(n: int) -> float:
     if n < 2:
         raise ValueError("wallis integral needs n >= 2")
     if n >= _SERIES_FROM:
-        x = n / 2
+        try:
+            x = n / 2
+        except OverflowError:
+            raise NumericalError("wallis(n) needs n / 2 in the float range") from None
         y = 1 / (x * x)
         # c_k = B_{k+1} (2 - 2**-k) / (k (k+1)) for odd k, B the Bernoulli
         # numbers; the first term dropped is below 1e-19 at x = 32

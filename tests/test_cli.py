@@ -384,6 +384,8 @@ def test_numerical_errors_exit_3(tmp_path):
         ("bounds", "--n", "2", "--b", "1e-310"),
         ("bounds", "--n", "2", "--b", "6.8e-309"),
         ("bounds", "--n", "2", "--b", "5e-324"),
+        # omega_n in constant time needs n / 2 as a double
+        ("bounds", "--n", huge),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 3, argv
