@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, _natural
+from .complexes import SimplicialComplex, _natural, _number
 from .errors import IncompleteCocycleError, InvalidLoopError
 
 __all__ = [
@@ -41,6 +41,12 @@ EXACTNESS_RESIDUAL = 1e-9
 _ROUNDING = 4 * sys.float_info.epsilon
 
 
+def _check_mode(mode):
+    """Refuses an unknown mode, before any value is read."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown cocycle mode {mode!r}")
+
+
 def _check_mode_value(value, mode):
     if mode == "exact":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -49,12 +55,10 @@ def _check_mode_value(value, mode):
                 f"{value!r} ({type(value).__name__})"
             )
         return value
-    if mode == "float":
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError("non-finite cocycle value")
-        return v
-    raise ValueError(f"unknown cocycle mode {mode!r}")
+    v = _number(value, "a float cocycle value")
+    if not math.isfinite(v):
+        raise ValueError("non-finite cocycle value")
+    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +69,7 @@ class OneCocycle:
     mode: str = "exact"
 
     def __post_init__(self):
+        _check_mode(self.mode)
         cleaned = {}
         for key, val in dict(self.values).items():
             u, v = key
@@ -99,6 +104,7 @@ class ZeroCochain:
     mode: str = "exact"
 
     def __post_init__(self):
+        _check_mode(self.mode)
         cleaned = {}
         for v, val in dict(self.values).items():
             if not _natural(v):

@@ -11,6 +11,7 @@ Nothing derived is stored; the one assembly that needs face positions,
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,6 +29,18 @@ __all__ = [
 def _natural(v) -> bool:
     """An int >= 0; bools are refused, since JSON true would read as 1."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _number(raw, what: str) -> float:
+    """A real number from outside as a float; booleans, strings, numbers past
+    the float range and every other value are refused with ValueError."""
+    # int and float first, since the abstract check alone costs 0.4 us a value
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, numbers.Real)):
+        raise ValueError(f"{what} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError(f"{what} is a number past the float range") from None
 
 
 def _validated_simplex(simplex, vertex_count):

@@ -67,7 +67,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _number
 from .cocycles import OneCocycle, zero_cocycle
 from .errors import NumericalError
 from . import twisted
@@ -106,7 +106,7 @@ class InnerProduct:
             if given is None:
                 vec = np.ones(n)
             else:
-                vec = np.asarray([float(w) for w in given])
+                vec = np.asarray([_number(w, "a weight") for w in given])
                 if vec.shape != (n,):
                     raise ValueError(
                         f"degree {p} weight vector has length {vec.size}, "

@@ -536,12 +536,6 @@ def _exact_rank_columns(columns) -> int:
     return sum(left is None for left in _reduce_columns(columns))
 
 
-def _matrix_columns_sparse(m: Matrix):
-    """Columns of the transpose, i.e. the rows of m; rank is the same."""
-    for i in range(m.nrows):
-        yield {j: v for j, v in enumerate(m.row(i)) if v != 0}
-
-
 def _float_rank(a: np.ndarray, tolerance: float, floor: float = 0.0):
     """(rank, ill_conditioned) from singular values.
 
@@ -564,18 +558,29 @@ def _float_rank(a: np.ndarray, tolerance: float, floor: float = 0.0):
     return rnk, ill
 
 
-def rank_with_flag(m: Matrix, tolerance: float | None = None):
-    """(rank, ill_conditioned) of a matrix in its own backend.
+def _rank(rows, ncols, backend, tolerance, floor=0.0):
+    """(rank, ill_conditioned) of sparse {column: value} rows in a backend.
 
-    The one dense-rank entry; the package ranks through the two kernels
-    directly.  The tolerance applies to float; the flag is always False on
-    the exact backends.
+    The one rank entry.  Exact backends eliminate the rows as the columns
+    of the transpose, whose rank is the same; float makes them a dense
+    complex array and ranks it through singular values.  The tolerance and
+    floor are ``_float_rank``'s; the flag is always False when exact.
     """
+    if backend != _FLOAT:
+        return _exact_rank_columns(rows), False
+    a = np.zeros((len(rows), ncols), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            a[r, c] = v
+    return _float_rank(a, tolerance, floor)
+
+
+def rank_with_flag(m: Matrix, tolerance: float | None = None):
+    """(rank, ill_conditioned) of a matrix in its own backend, through ``_rank``."""
     # a bare matrix meets no lambda; 1 is exact and leaves the join to m
     _, backend, tol = _arithmetic(1, m.backend, tolerance=tolerance)
-    if backend == _FLOAT:
-        return _float_rank(m.to_numpy(), tol)
-    return _exact_rank_columns(_matrix_columns_sparse(m)), False
+    rows = [{j: v for j, v in enumerate(m.row(i)) if v != 0} for i in range(m.nrows)]
+    return _rank(rows, m.ncols, backend, tol)
 
 
 # ---------------------------------------------------------------------------

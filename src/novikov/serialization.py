@@ -22,7 +22,7 @@ import hashlib
 import json
 
 from .cocycles import OneCocycle
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _number
 from .scalars import parse_scalar, scalar_literal
 from .wang import FiberCohomologyAction
 
@@ -50,27 +50,10 @@ def _encode_value(value, mode: str):
     return int(value)
 
 
-def _number(raw, what: str) -> float:
-    """A JSON number as a float; booleans, integers past the float range and
-    every other JSON value are refused."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"{what} must be a number, got {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError:
-        raise ValueError(f"{what} is an integer past the float range") from None
-
-
 def _integer(raw, what: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ValueError(f"{what} must be an integer, got {raw!r}")
     return raw
-
-
-def _decode_value(raw, mode: str):
-    if mode == "float":
-        return _number(raw, "a float cocycle value")
-    return _integer(raw, "an exact cocycle value")
 
 
 def _lists(value, what: str) -> list:
@@ -120,10 +103,8 @@ def complex_from_json(payload: dict):
         return k, None
     if not isinstance(raw, dict):
         raise ValueError("'cocycle' must be a JSON object")
-    mode = raw.get("mode", "exact")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown cocycle mode {mode!r}")
-    # each value is keyed by the complex's own edge tuple
+    # each value is keyed by the complex's own edge tuple; OneCocycle checks
+    # the mode, then each value
     edges = {e: e for e in k.edges}
     values = {}
     for entry in _lists(raw["values"], "cocycle 'values'"):
@@ -133,11 +114,11 @@ def complex_from_json(payload: dict):
             raise ValueError(f"cocycle value on {edge}, which is not an increasing edge")
         if edge in values:
             raise ValueError(f"cocycle lists edge {edge} twice")
-        values[edges[edge]] = _decode_value(val, mode)
+        values[edges[edge]] = val
     missing = [e for e in k.edges if e not in values]
     if missing:
         raise ValueError(f"cocycle misses {len(missing)} edges, first {missing[0]}")
-    return k, OneCocycle(values, mode=mode)
+    return k, OneCocycle(values, mode=raw.get("mode", "exact"))
 
 
 def save_complex(path, k: SimplicialComplex, theta: OneCocycle | None = None) -> None:

@@ -27,10 +27,14 @@ of its cohomology, with the same cohomology at every lambda != 0.  The
 residual is a held value, and
 ``Reduction.profile`` evaluates it at any lambda, as often as asked:
 
-    dims[p] = #residual C^p - rank delta_p - rank delta_{p-1},
+    dims[p] = #residual C^p - rank delta_p - rank delta_{p-1}.
 
-exactly for rational / number field lambda and through singular values for
-float lambda.  ``betti_profile`` is ``reduce`` plus one ``Reduction.profile``.
+Every lambda takes one route: ``_shifts`` divides each residual row and
+column by a monomial, ``_power`` evaluates what is left, and
+``scalars._rank`` ranks it, exactly for rational / number field lambda and
+through singular values for float lambda.  The reduction and its
+evaluation are pure Python; every dense array is built in ``scalars`` or
+``hodge``.  ``betti_profile`` is ``reduce`` plus one ``Reduction.profile``.
 One face rule, ``_rows``, writes every coboundary entry:
 over Z[t, 1/t] for ``reduce``, and at lambda for Hodge, Wang and
 ``twisted_coboundary``, which read the full assembly ``_coboundary_rows``.
@@ -42,21 +46,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
-
-import numpy as np
 
 from .complexes import SimplicialComplex
 from .cocycles import OneCocycle, _forest, validate_closed
 from .errors import BackendMismatchError, NumericalError
-from .scalars import (
-    Matrix,
-    _arithmetic,
-    _exact_rank_columns,
-    _float_rank,
-    scalar_literal,
-)
+from .scalars import Matrix, _arithmetic, _rank, scalar_literal
 
 __all__ = [
     "twisted_coboundary",
@@ -209,21 +204,30 @@ class Reduction:
 
         Only lambda is checked here; ``reduce`` checked theta.  backend
         "float" forces numeric rank on an exact lambda; exact backends run
-        tolerance-free.  The ill_conditioned flag reports whether any
+        tolerance-free.  Every lambda takes one route, ``_shifts``, ``_power``
+        and ``scalars._rank``.  The ill_conditioned flag reports whether any
         singular value of a residual coboundary fell near the rank cut
         (float backend only).  The residual is read, never edited.
         """
         lam, backend, tol = _monodromy(self.theta, lam, backend, tolerance)
-        is_float = backend == "float"
-        if is_float:
+        z, pick = lam, min
+        if backend == "float":
             weight = _weight(lam)
             for e in self.complex.edges:
                 weight(self.theta.values[e])  # NumericalError once one leaves the float range
-        ranked = [
-            _float_rank(_float_array(rows, n, lam), tol, floor=1.0) if is_float
-            else (_exact_rank_columns(_exact_rows(rows, lam)), False)
-            for rows, n in zip(self.deltas, self.sizes)
-        ]
+            z = complex(lam)
+            pick = max if abs(z) >= 1 else min
+        ranked = []
+        for rows, n in zip(self.deltas, self.sizes):
+            row_shifts, column_shifts = _shifts(rows, pick)
+            values = []
+            for row, shift in zip(rows, row_shifts):
+                scaled = {}
+                for c, ent in row.items():
+                    s = shift + column_shifts[c]
+                    scaled[c] = sum(y * _power(z, x - s) for x, y in ent.items())
+                values.append(scaled)
+            ranked.append(_rank(values, n, backend, tol, floor=1.0))
         ranks = [r for r, _ in ranked]
         dims = tuple(n - r - q for n, r, q in zip(self.sizes, ranks, [0] + ranks))
         euler = sum((-1) ** p * d for p, d in enumerate(dims))
@@ -474,62 +478,45 @@ def reduce(k: SimplicialComplex, theta: OneCocycle) -> Reduction:
     return Reduction(k, theta, tuple(sizes), tuple(deltas))
 
 
-def _exact_rows(rows, lam):
-    """Residual rows at an exact lambda, each divided by lam**s, s its least
-    exponent: each t**e becomes Fraction(c) * lam**(e - s).  Scaling a row
-    leaves the rank alone, and no power is negative, so a number-field
-    lambda is never inverted."""
-    scaled = []
-    for row in rows:
-        s = min((x for ent in row.values() for x in ent), default=0)
-        scaled.append(
-            {c: sum(Fraction(y) * lam**(x - s) for x, y in ent.items()) for c, ent in row.items()}
-        )
-    return scaled
+def _power(lam, x):
+    """lam**x at a lambda from ``_local_system``, exact when lambda is.
 
-
-def _power(lam: complex, x):
-    """lam**x = exp(x log lam) on the principal branch, where |lam**x| <= 1.
-
-    An integer power multiplies out lam or 1/lam, whichever is at most 1 in
-    magnitude, so it never overflows; for |x| <= 100 it also never leaves
-    the real axis, and past that CPython takes the polar form.
+    A complex lambda takes exp(x log lam) on the principal branch, where
+    |lam**x| <= 1, and an integer power multiplies out lam or 1/lam,
+    whichever is at most 1 in magnitude, so it never overflows; for |x| <=
+    100 it also never leaves the real axis, and past that CPython takes the
+    polar form.
     """
     if x != int(x):
         return lam ** complex(x)
     return (1 / lam) ** -int(x) if x < 0 else lam ** int(x)
 
 
-def _float_array(rows, ncols, lam):
-    """Residual rows at a float lambda, as a dense complex array.
+def _shifts(rows, pick):
+    """The monomials that divide residual rows before they are ranked.
 
-    Each row is first divided by a monomial lam**shift, with shift its
-    largest exponent when |lambda| >= 1 and its smallest otherwise; then
-    each column is divided by its own extreme monomial of what is left, so
-    that no power exceeds 1 in magnitude and none can overflow.  Scaling a
-    row or a column leaves the rank alone, and the column pass keeps a
-    column that no row leads from shrinking below the rank cut.  Every
-    scaled row and column holds a term of magnitude 1 before any
-    cancellation, so ``Reduction.profile`` ranks these arrays against an
-    absolute scale of 1, as the full delta_p with its +-1 entries would be:
-    a real theta that closes only up to rounding leaves t**x - t**(x + eps)
-    where the exact residual has a zero, and that noise must not set the
-    rank cut.
+    Each row is first divided by lam**shift, with shift its pick-most
+    exponent; then each column by its own pick-most monomial of what is
+    left.  Returns the row shifts, a list, and the column shifts, a dict.
+    Scaling a row or a column by a unit leaves the rank alone.  ``pick`` is
+    min at an exact lambda, so no power is negative and a number-field
+    lambda is never inverted.  At a float lambda it is max when |lambda| >= 1
+    and min otherwise, so that no power exceeds 1 in magnitude and none can
+    overflow, and the column pass keeps a column that no row leads from
+    shrinking below the rank cut.  Every scaled row and column holds a term
+    of magnitude 1 before any cancellation, so ``Reduction.profile`` ranks
+    float residuals against an absolute scale of 1, as the full delta_p
+    with its +-1 entries would be: a real theta that closes only up to
+    rounding leaves t**x - t**(x + eps) where the exact residual has a
+    zero, and that noise must not set the rank cut.
     """
-    lam = complex(lam)
-    pick = max if abs(lam) >= 1 else min
-    shifts = [pick(x for ent in row.values() for x in ent) if row else 0 for row in rows]
-    columns = {}
-    for row, shift in zip(rows, shifts):
+    row_shifts = [pick(x for ent in row.values() for x in ent) if row else 0 for row in rows]
+    column_shifts = {}
+    for row, shift in zip(rows, row_shifts):
         for c, ent in row.items():
             x = pick(ent) - shift
-            columns[c] = pick(columns[c], x) if c in columns else x
-    a = np.zeros((len(rows), ncols), dtype=complex)
-    for r, (row, shift) in enumerate(zip(rows, shifts)):
-        for c, ent in row.items():
-            s = shift + columns[c]
-            a[r, c] = sum(y * _power(lam, x - s) for x, y in ent.items())
-    return a
+            column_shifts[c] = pick(column_shifts[c], x) if c in column_shifts else x
+    return row_shifts, column_shifts
 
 
 @dataclass(frozen=True, slots=True)

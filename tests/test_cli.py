@@ -528,3 +528,22 @@ def test_every_subcommand_has_help(capsys):
         assert ("--lambda" in text) is (command in takes_lambda), command
         assert ("--backend" in text) is (command in takes_lambda - {"hodge"}), command
         assert "--output" in text, command
+
+
+def test_rejections_exit_2_with_their_message(tmp_path, capsys):
+    bare = tmp_path / "bare.json"
+    payload = json.loads((FIXTURES / "circle3.json").read_text())
+    del payload["cocycle"]
+    bare.write_text(json.dumps(payload))
+    object_map = tmp_path / "object_map.json"
+    object_map.write_text(json.dumps({"0": 0}))
+    for argv, message in (
+        (["betti", "--complex", str(bare), "--lambda", "2"], "carries no cocycle"),
+        (["mapping-torus", "--complex", str(FIXTURES / "torus2.json"), "--map", str(object_map),
+          "--lambda", "2"], "map file must hold a JSON list"),
+        (["bounds", "--n", "1"], "--n must be at least 2"),
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert message in err, argv
+        assert "Traceback" not in err, argv

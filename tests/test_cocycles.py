@@ -41,8 +41,16 @@ def test_mode_validation():
         OneCocycle({(0, 1): float("inf")}, mode="float")
     f = OneCocycle({(0, 1): 0.5}, mode="float")
     assert f.value(1, 0) == -0.5
-    with pytest.raises(ValueError):
-        ZeroCochain({0: 1}, mode="weird")
+    # a float value is a real number in the float range, and the mode is
+    # checked before any value
+    for bad in (True, "1.5", 10**400, None):
+        with pytest.raises(ValueError):
+            OneCocycle({(0, 1): bad}, mode="float")
+        with pytest.raises(ValueError):
+            ZeroCochain({0: bad}, mode="float")
+    for build in (OneCocycle, ZeroCochain):
+        with pytest.raises(ValueError, match="unknown cocycle mode"):
+            build({}, mode="weird")
     # JSON true would read as vertex 1
     with pytest.raises(ValueError):
         OneCocycle({(False, True): 1})

@@ -173,6 +173,9 @@ def test_mapping_torus_rejections():
         mapping_torus(c, collapse, layers=3)
     with pytest.raises(ConstructionError):
         mapping_torus(point(), ident, layers=3)
+    # a self-map that folds an edge is no isomorphism
+    with pytest.raises(ConstructionError, match="isomorphism"):
+        mapping_torus(c, SimplicialMap(c, c, [0, 1, 1]), layers=3)
 
 
 def _unglued_tower_counts(base, layers):

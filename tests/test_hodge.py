@@ -225,6 +225,11 @@ def test_hodge_decompose_special_inputs():
     parts = hodge_decompose(c, ct, 1.0, 1, h)
     np.testing.assert_allclose(parts.harmonic, h, atol=1e-12)
     np.testing.assert_allclose(parts.exact, 0 * h, atol=1e-12)
+    # a cochain of the wrong length, and a complex with no edges to carry one
+    with pytest.raises(ValueError, match="shape"):
+        hodge_decompose(c, ct, 1.0, 1, h[:2])
+    with pytest.raises(ValueError, match="1-simplices"):
+        harmonic_representative(point(), OneCocycle({}))
 
 
 def test_harmonic_representative_circle():
@@ -262,7 +267,11 @@ def test_inner_product_validation():
         InnerProduct(k, {1: [1.0, -1.0, 1.0]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for weights in ({7: [1.0]}, {-1: [1.0]}, {0: [1.0, float("inf"), 1.0]}):
+        for weights in (
+            {7: [1.0]}, {-1: [1.0]}, {0: [1.0, float("inf"), 1.0]},
+            # a weight is a real number in the float range
+            *({0: [bad, 1.0, 1.0]} for bad in (True, "1.5", 10**400)),
+        ):
             with pytest.raises(ValueError):
                 InnerProduct(k, weights)
         # weights are an InnerProduct on the complex of the call, or None

@@ -98,6 +98,18 @@ def test_numpy_is_the_only_runtime_dependency():
     assert found and not {name: names for name, names in found.items() if names}
 
 
+def test_twisted_imports_neither_numpy_nor_fraction():
+    # the reduction and its evaluation are pure Python: every dense array is
+    # built in scalars or hodge, and an exact entry takes lambda's own type
+    names = set()
+    for node in ast.walk(ast.parse((SOURCE / "twisted.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+    assert not names & {"numpy", "fractions", "Fraction"}
+
+
 def test_every_exported_name_resolves():
     missing = []
     for path in sorted(SOURCE.glob("*.py")):

@@ -440,6 +440,14 @@ def test_induced_action_requires_isomorphism():
     collapse = SimplicialMap(k, point(), [0, 0, 0])
     with pytest.raises(ConstructionError):
         induced_action(k, collapse)
+    with pytest.raises(ConstructionError, match="isomorphism"):
+        induced_action(k, SimplicialMap(k, k, [0, 1, 1]))
+
+
+def test_from_blocks_drops_trailing_empty_blocks():
+    action = FiberCohomologyAction.from_blocks({0: [[1]], 1: [], 2: []})
+    assert action.top_degree == 0
+    assert action.fiber_dims() == (1,)
 
 
 def test_wang_matches_mapping_torus():
