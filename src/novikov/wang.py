@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycles import zero_cocycle
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _natural
 from .constructions import SimplicialMap
 from .errors import ConstructionError, NumericalError
 from .scalars import (
@@ -72,8 +72,8 @@ class FiberCohomologyAction:
     def from_blocks(cls, blocks: dict) -> "FiberCohomologyAction":
         """Sparse form: {degree >= 0: rows}; absent degrees get 0 x 0 blocks."""
         for p in blocks:
-            if p < 0:
-                raise ValueError(f"action block degree {p} is negative")
+            if not _natural(p):
+                raise ValueError(f"action block degree {p!r} is not an int >= 0")
         top = max(blocks, default=-1)
         mats = [blocks.get(p) or [] for p in range(top + 1)]
         return cls(mats)

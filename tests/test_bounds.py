@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 import time
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from novikov import bounds
@@ -17,7 +19,7 @@ from novikov.bounds import (
     small_b_limit,
     wallis,
 )
-from novikov.bounds import _gauss_legendre, _gauss_rule
+from novikov.bounds import _LOG_MAX, _gauss_legendre, _gauss_rule
 from novikov.errors import NumericalError
 
 
@@ -163,7 +165,19 @@ def test_c_of_b_residuals_against_independent_quadrature():
         assert abs(x * integral - wallis(n)) < 1e-12, (n, b)
 
 
-def test_c_of_b_runs_each_quadrature_once(monkeypatch):
+GRID = [(n, b) for n in (3, 4, 5) for b in (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625)]
+# quadrature passes per root under the log bisection that Newton replaced:
+# the roots of test_c_of_b_past_the_old_quadrature_range, ..._past_the_old_bracket
+# and test_cli.py::test_bounds_root_near_the_largest_double
+BISECTION_PASSES = {
+    (5, 100.0): 62, (30, 20.0): 63, (2, 1e-300): 53, (20, 37.5): 63,
+    (2, 2e-308): 54, (2, 1e-308): 53, (2, 7e-309): 49,
+}
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The arguments of every quadrature pass c_of_b makes, in order."""
     calls = []
     integrate = bounds._root_integral
 
@@ -172,10 +186,100 @@ def test_c_of_b_runs_each_quadrature_once(monkeypatch):
         return integrate(*args)
 
     monkeypatch.setattr(bounds, "_root_integral", counting)
-    for n in (3, 4, 5):
-        for b in (2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
+    return calls
+
+
+def test_c_of_b_runs_each_quadrature_once(passes):
+    per_root = []
+    for n, b in GRID:
+        start = len(passes)
+        c_of_b(n, b)
+        per_root.append(len(passes) - start)
+    assert len(set(passes)) == len(passes)
+    # Newton in log-log coordinates: the bisection it replaced took 53-55
+    # passes per root, 974 on this grid
+    assert 0 < min(per_root) and max(per_root) <= 12, per_root
+    assert sum(per_root) <= 160, per_root
+
+
+def test_c_of_b_extreme_roots_take_no_more_passes_than_the_bisection(passes):
+    for (n, b), before in BISECTION_PASSES.items():
+        start = len(passes)
+        c_of_b(n, b)
+        assert 0 < len(passes) - start <= before, (n, b, len(passes) - start)
+
+
+def power_integral(n, b, x):
+    """integral_0^b (cosh t + x sinh t)^{n-1} dt as the bisection computed it."""
+    panels = math.ceil(b * (n - 1) * max(1.0, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(_gauss_legendre(lambda t: (np.cosh(t) + x * np.sinh(t)) ** (n - 1), b, panels))
+    if not math.isfinite(total):
+        raise NumericalError(f"integrand overflows for n={n}, b={b}, x={x}")
+    return total
+
+
+def bisection_root(n, b):
+    """C(b) by bisection in log coordinates from the closed-form bracket, as
+    c_of_b found it before Newton: the declared reference for the solver.
+    The rounded geometric mean can land on an end while the bracket is still
+    two or more floats wide (n = 21, b = 6.16e-85 stopped at
+    [x + ulp, x + 3 ulp]), so the arithmetic mean finishes it down to
+    adjacent floats, and ties in |gap| are broken as c_of_b breaks them."""
+    omega = wallis(n)
+    gaps = {}
+
+    def gap(x):
+        gaps[x] = x * power_integral(n, b, x) - omega
+        return gaps[x]
+
+    hi = min(2 * small_b_limit(n) / b, sys.float_info.max)
+    top = power_integral(n, b, hi)
+    gaps[hi] = hi * top - omega
+    if not gaps[hi] > 0:
+        raise NumericalError(f"C(b) is past the float range for n={n}, b={b}")
+    lo = omega / top
+    while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi or lo < (mid := lo + (hi - lo) / 2) < hi:
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return min(gaps, key=lambda x: (abs(gaps[x]), max(lo - x, x - hi, 0.0), x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 30), share=st.floats(0, 1))
+@example(n=2, share=0.0)
+@example(n=2, share=1.0)
+@example(n=30, share=1.0)
+@example(n=21, share=0.7155808579761104)  # b = 6.16e-85, where the bisection stopped early
+def test_c_of_b_is_within_one_ulp_of_the_bisection(n, share):
+    # b log-uniform from 1e-300 to where cosh(b)^{n-1} reaches the largest double
+    edge = _LOG_MAX / (n - 1) + math.log(2)
+    b = math.exp(math.log(1e-300) + share * (math.log(edge) - math.log(1e-300)))
+    try:
+        want = bisection_root(n, b)
+    except NumericalError:
+        with pytest.raises(NumericalError):
             c_of_b(n, b)
-    assert len(set(calls)) == len(calls)
+        return
+    x = c_of_b(n, b)
+    assert abs(x - want) <= math.ulp(want), (n, b, (x - want) / math.ulp(want))
+    assert abs(x * power_integral(n, b, x) - wallis(n)) <= 1e-12, (n, b)
+    # the integral itself is the one the bisection saw, bit for bit
+    assert bounds._root_integral(n, b, x)[0] == power_integral(n, b, x)
+
+
+def test_root_integral_slope_matches_mpmath_diff():
+    # the second value is x I'(x) / (n-1), from the same pass as I(x)
+    for n, b, x in [(3, 1.0, 0.7), (5, 0.0625, 30.0), (20, 10.0, 1e-3)]:
+        integral, slope = bounds._root_integral(n, b, x)
+        with mpmath.workdps(30):
+            exact = mpmath.diff(
+                lambda y: mpmath.quad(lambda t: (mpmath.cosh(t) + y * mpmath.sinh(t)) ** (n - 1), [0, b]),
+                mpmath.mpf(x),
+            )
+        assert abs((n - 1) * slope / x - exact) <= 1e-13 * exact, (n, b, x)
 
 
 def test_c_of_b_decreasing_in_b():

@@ -379,6 +379,7 @@ def test_cyclic_cover_lifts_each_level_as_face_closure_would():
             assert hash(k) == hash(ref) and k == ref
             assert complex_to_json(k, lift) == complex_to_json(ref, OneCocycle(ref_lift))
             assert lift.values == ref_lift
+            assert lift == OneCocycle(ref_lift)  # as if it had passed OneCocycle's checks
             assert all(key is e for key, e in zip(lift.values, k.edges)), (name, sheets)
 
 

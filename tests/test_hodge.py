@@ -287,6 +287,14 @@ def test_inner_product_validation():
     assert w.pairing(0, [1, 1, 1], [1, 1, 1]) == 6.0
 
 
+def test_inner_product_refuses_a_degree_key_that_is_not_a_natural():
+    # True once weighted degree 1 and 1.0 degree 1, as JSON true would read
+    k = circle(3)
+    for key in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            InnerProduct(k, {key: [2.0, 2.0, 2.0]})
+
+
 def test_weights_that_underflow_answer_like_their_mirror():
     # CPython takes 1e10 ** -40 as 1 / 1e10 ** 40, which is nan; the weight is
     # 1e-400, as 1e-10 ** 40 is

@@ -450,6 +450,13 @@ def test_from_blocks_drops_trailing_empty_blocks():
     assert action.fiber_dims() == (1,)
 
 
+def test_from_blocks_refuses_a_degree_key_that_is_not_a_natural():
+    # {True: [[2]]} once read as degree 1, fiber dims (0, 1)
+    for key in (True, False, -1, 1.0, "1"):
+        with pytest.raises(ValueError):
+            FiberCohomologyAction.from_blocks({key: [[2]]})
+
+
 def test_wang_matches_mapping_torus():
     k = torus_grid(3)
     mats = {
