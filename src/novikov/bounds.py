@@ -11,7 +11,7 @@ Three families live here, plain numerics on ``math`` and ``numpy``:
   its derivative in x from one pass, under safeguarded Newton in log-log
   coordinates from a bracket known in closed form, closed down to adjacent
   floats by bisection; 4-9 passes per root where bisection alone took 49-63.
-  The root is refused (NumericalError) when its residual exceeds 1e-12.
+  The root is refused (NumericalError) past 10**4 panels or a 1e-12 residual.
 * ``b_n(n, x)`` evaluates the infinite product
   prod_{i>=0} (1 + x nu^i (2 nu^i - 1)^{-1/2})^{2 nu^{-i}} with
   nu = n/(n-2), truncated once the log-increment drops below 1e-12.  The
@@ -42,6 +42,7 @@ from .errors import NumericalError
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _ROOT_TOL = 1e-12  # bound on |x * integral - omega_n| at the returned C(b)
+_MAX_PANELS = 10_000  # per pass, 1.6 MB a node array; the tests reach 3991
 _PRODUCT_CUT = 1e-12  # B_n stops at the first log-increment below this
 _SERIES_FROM = 64  # wallis(n) leaves the recurrence for its asymptotic series here
 
@@ -123,12 +124,16 @@ def _root_integral(n: int, b: float, x: float) -> tuple[float, float]:
     which cannot underflow where I'(x) alone would (n = 2, b = 1e-300).  The
     integrand's log-derivative is at most (n-1) max(1, x), so on
     ceil(b (n-1) max(1, x)) panels it grows by at most a factor e across
-    each one, where the fixed rule is exact to rounding.
+    each one, where the fixed rule is exact to rounding.  More than
+    _MAX_PANELS panels are refused (NumericalError) before any array exists.
     """
     # the integrand at t = b is at least cosh(b)^{n-1}
     if (n - 1) * (b - math.log(2) + math.log1p(math.exp(-2 * b))) > _LOG_MAX:
         raise NumericalError(f"integrand overflows for n={n}, b={b}")
-    panels = math.ceil(b * (n - 1) * max(1.0, x))
+    span = b * (n - 1) * max(1.0, x)  # n = 10**13 at b = 1e-5 would take 15 GiB
+    if not span <= _MAX_PANELS:
+        raise NumericalError(f"C(b) needs {span:.3g} panels for n={n}, b={b}, above {_MAX_PANELS}")
+    panels = math.ceil(span)
 
     def integrands(t):
         s = x * np.sinh(t)

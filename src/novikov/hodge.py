@@ -33,18 +33,17 @@ im A_0, by plain least squares, on the dense A of ``_dense``.  The full
 adjoint and Laplacian, and the dense Gram product, live on only in the
 tests, as the declared cross-checks.
 
-When every coboundary entry of a call has an exactly zero imaginary part, as
-for a positive lambda, the scaled entries are float64 and so are the Gram
-matrices: the products and the eigensolver run in real arithmetic at about
-half the cost of complex Hermitian ones.  The choice is made once per call,
-so in an all-degree pass a real degree next to a complex one is solved in
-complex arithmetic.  The decision reads the assembled entries before any
-array is allocated, not the sign of lambda or the kind of theta: the complex
-power leaves an imaginary part at a negative lambda once the exponent is
-large (complex(-2.0) ** complex(101) has imaginary part 2.2e16), and an
-entry test keeps the real parts bit for bit either way.  A scaled
-coboundary, Gram matrix or Hodge decomposition whose products leave the
-float range raises NumericalError.
+When no entry of delta_q has a nonzero imaginary part, as for a positive
+lambda, A_q's scaled entries are float64 and so is its Gram piece, which is
+solved in real arithmetic at about half the cost of a complex Hermitian one.
+Each A_q decides from its own entries, so a piece is solved the same way in
+any range of degrees, and the all-degree pass and ``laplacian_spectrum``
+agree byte for byte.  The decision reads the assembled entries, not the
+sign of lambda or the kind of theta: the complex power leaves an imaginary
+part at a negative lambda once the exponent is large (complex(-2.0) **
+complex(101) has imaginary part 2.2e16), and an entry test keeps the real
+parts bit for bit either way.  A scaled coboundary, Gram matrix or Hodge
+decomposition whose products leave the float range raises NumericalError.
 
 Harmonic cutoffs act on the singular-value scale (square roots of Laplacian
 eigenvalues) relative to the largest one.  Eigenvalue-scale cutoffs look
@@ -147,24 +146,20 @@ def _scaled(k, theta, lam, w: InnerProduct, what: str, *degrees) -> list[tuple]:
     The one place the inner product enters an operator.  Each A_q comes back
     as its nonzero entries, ``(shape, rows, cols, vals)``, and no dense array
     is allocated.  Each delta_q is assembled once, and all its entries are
-    read before any is scaled: the scaled values are float64 when no entry
+    read before any is scaled: A_q's values are float64 when none of them
     has a nonzero imaginary part, complex otherwise.  Outside degrees 0..dim
-    delta is the zero map.
+    delta is the zero map, with no entries.
     """
     lam = twisted._local_system(k, theta, lam, backend="float")[0]
-    assembled = []
+    scaled = []
     for q in degrees:
         # read through the module at call time: the one assembly in twisted
         rows = twisted._coboundary_rows(k, theta, lam, q) if 0 <= q <= k.dim else []
         r = np.array([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
         c = np.array([j for row in rows for j in row], dtype=np.intp)
         vals = np.array([v for row in rows for v in row.values()], dtype=complex)
-        assembled.append((q, r, c, vals))
-    real = not any(vals.imag.any() for *_, vals in assembled)
-    scaled = []
-    for q, r, c, vals in assembled:
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = (vals.real if real else vals) * np.sqrt(w.vector(q + 1))[r]
+            vals = (vals if vals.imag.any() else vals.real) * np.sqrt(w.vector(q + 1))[r]
             vals /= np.sqrt(w.vector(q))[c]
         scaled.append(((k.n_simplices(q + 1), k.n_simplices(q)), r, c, vals))
     _require_finite(what, *(vals for *_, vals in scaled))

@@ -563,8 +563,9 @@ def _rank(rows, ncols, backend, tolerance, floor=0.0):
 
     The one rank entry.  Exact backends eliminate the rows as the columns
     of the transpose, whose rank is the same; float makes them a dense
-    complex array and ranks it through singular values.  The tolerance and
-    floor are ``_float_rank``'s; the flag is always False when exact.
+    complex array, refused (NumericalError) past the float range, and ranks
+    it through singular values.  The tolerance and floor are
+    ``_float_rank``'s; the flag is always False when exact.
     """
     if backend != _FLOAT:
         return _exact_rank_columns(rows), False
@@ -572,6 +573,8 @@ def _rank(rows, ncols, backend, tolerance, floor=0.0):
     for r, row in enumerate(rows):
         for c, v in row.items():
             a[r, c] = v
+    if not np.isfinite(a).all():
+        raise NumericalError("a matrix entry leaves the float range")
     return _float_rank(a, tolerance, floor)
 
 

@@ -9,7 +9,8 @@ where M_p is the induced action on H^p(F).  Since the blocks are square the
 cokernel dimension equals the kernel dimension, and the alternating sum of
 dims telescopes to zero regardless of the action.  The kernels are counted
 in the backend that joins lam with the blocks, so float or number-field
-blocks at an exact lam run in float or in the number field.
+blocks at an exact lam run in float or in the number field.  Each
+M_p - lam I is ranked as sparse rows by ``scalars._rank``, the one rank entry.
 
 The action can be supplied directly as matrices (useful when the fiber is
 known only algebraically) or computed from a simplicial automorphism via
@@ -25,18 +26,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cocycles import zero_cocycle
 from .complexes import SimplicialComplex, _natural
 from .constructions import SimplicialMap
-from .errors import ConstructionError, NumericalError
+from .errors import ConstructionError
 from .scalars import (
     Matrix,
     _arithmetic,
-    _exact_rank_columns,
-    _float_rank,
+    _float_of,
     _join,
+    _rank,
     _reduce_columns,
     scalar_literal,
 )
@@ -126,25 +125,20 @@ def wang_dims(
     an exact lam run in float or in the number field, and number field with
     float is refused.  A requested backend may move exact to float and must
     otherwise agree.  The exact backends run tolerance-free; the float
-    backend counts singular values against the tolerance.
+    backend counts singular values against the tolerance, and refuses
+    (NumericalError) an entry of M_p - lam I past the float range.
     """
     entries = _join(block.backend for block in action.matrices)
     lam, backend, tol = _arithmetic(lam, entries, backend=backend, tolerance=tolerance)
     nulls = []
-    for p, block in enumerate(action.matrices):
-        if backend == "float":
-            shifted = block.to_numpy()  # NumericalError for an exact entry past the float range
-            with np.errstate(over="ignore", invalid="ignore"):
-                shifted.flat[:: block.nrows + 1] -= lam
-            if not np.isfinite(shifted).all():
-                raise NumericalError(f"degree {p} block minus lambda leaves the float range")
-            rank = _float_rank(shifted, tol)[0]
-        else:
-            rank = _exact_rank_columns(
-                {j: v - lam if i == j else v for j, v in enumerate(row)}
-                for i, row in enumerate(block.rows())
-            )
-        nulls.append(block.nrows - rank)
+    for block in action.matrices:
+        rows = block.rows()
+        if backend == "float" and block.backend == "exact":
+            rows = [list(map(_float_of, row)) for row in rows]  # before lambda is subtracted
+        shifted = [
+            {j: v - lam if i == j else v for j, v in enumerate(row)} for i, row in enumerate(rows)
+        ]
+        nulls.append(block.nrows - _rank(shifted, block.ncols, backend, tol)[0])
     dims = [a + b for a, b in zip(nulls + [0], [0] + nulls)]
     euler = sum((-1) ** p * d for p, d in enumerate(dims))
     return WangProfile(

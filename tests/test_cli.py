@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,23 @@ def test_bounds_root_near_the_largest_double():
         proc = run_cli("bounds", "--n", "2", "--b", b)
         root = report_of(proc)["results"]["c_of_b"]["root"]
         assert abs(root - small_b_limit(2) / float(b)) <= rel * root, b
+
+
+def test_bounds_refuses_a_root_past_the_panel_cap():
+    # n = 10**13 at b = 1e-5 passes the overflow check, and its quadrature
+    # would take 10**8 panels, a 15 GiB node array; the child runs with its
+    # address space capped at 2 GiB, so that an allocation fails fast
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "novikov.cli", "bounds", "--n", "10000000000000", "--b", "1e-5"],
+        capture_output=True,
+        preexec_fn=capped,
+    )
+    assert proc.returncode == 3, proc.stderr.decode()
+    assert b"numerical" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_verify_command():

@@ -408,7 +408,17 @@ def real_path_case(shape, seed):
         theta = gauge_transform(zero_cocycle(k), f)
     elif shape == "weighted torus3":
         return k, theta, random_weights(k, random.Random(seed))
+    elif shape == "gauged torus3":
+        k, theta = gauged_torus3()
     return k, theta, InnerProduct(k)
+
+
+def gauged_torus3():
+    """torus3 gauged by +150 at its last vertex.  The gauge moves theta only
+    on edges into that vertex, and such an edge leads no triangle, so at a
+    negative lambda delta_0 alone has entries with an imaginary part."""
+    k, theta = load_complex(FIXTURES / "torus3.json")
+    return k, gauge_transform(theta, ZeroCochain({k.vertex_count - 1: 150}))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -423,6 +433,9 @@ def real_path_case(shape, seed):
 @example(shape="cover", lam=-2.0, seed=0)
 @example(shape="gauged torus_grid(4)", lam=-1 + 0.5j, seed=1)
 @example(shape="weighted torus3", lam=-1.0, seed=2)
+# a complex A_0 next to a real A_1 and A_2
+@example(shape="gauged torus3", lam=-1.01, seed=0)
+@example(shape="gauged torus3", lam=-2.0, seed=0)
 def test_spectrum_matches_complex_reference(shape, lam, seed):
     k, theta, w = real_path_case(shape, seed)
     # the all-degree pass of ``novikov hodge`` gives the per-degree spectra
@@ -441,9 +454,13 @@ def test_spectrum_matches_complex_reference(shape, lam, seed):
 
 
 def test_real_entries_choose_real_arithmetic():
+    def pieces(k, theta, lam):
+        # the empty pieces A_{-1} and A_dim hold no entry to decide from
+        scaled = hodge._scaled(k, theta, lam, InnerProduct(k), "scaling", *range(k.dim))
+        return [vals.dtype for *_, vals in scaled]
+
     def dtypes(k, theta, lam):
-        scaled = hodge._scaled(k, theta, lam, InnerProduct(k), "scaling", *range(-1, k.dim + 1))
-        return {vals.dtype for *_, vals in scaled}
+        return set(pieces(k, theta, lam))
 
     k, theta = load_complex(FIXTURES / "torus3.json")
     assert dtypes(k, theta, 0.5) == {np.dtype(np.float64)}
@@ -455,6 +472,11 @@ def test_real_entries_choose_real_arithmetic():
     c = circle(3)
     big = OneCocycle({(0, 1): 101, (1, 2): 0, (0, 2): 101})
     assert dtypes(c, big, -2.0) == {np.dtype(complex)}
+    # each A_q decides from its own entries: only delta_0 of the gauged
+    # torus3 leaves the real axis at a negative lambda
+    k, theta = gauged_torus3()
+    for lam in (-1.01, -2.0):
+        assert pieces(k, theta, lam) == [np.dtype(t) for t in (complex, np.float64, np.float64)]
 
 
 def test_spectrum_is_solved_on_the_smaller_gram_pieces(monkeypatch):

@@ -110,6 +110,23 @@ def test_twisted_imports_neither_numpy_nor_fraction():
     assert not names & {"numpy", "fractions", "Fraction"}
 
 
+def test_only_scalars_hodge_and_bounds_import_numpy():
+    # every dense array is built in these three: wang ranks its blocks and
+    # twisted its residuals through scalars._rank
+    importers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"scalars", "hodge", "bounds"}
+
+
 def test_every_exported_name_resolves():
     missing = []
     for path in sorted(SOURCE.glob("*.py")):

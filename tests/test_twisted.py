@@ -602,7 +602,8 @@ def monomials(red):
     return sum(len(ent) for rows in red.deltas for row in rows for ent in row.values())
 
 
-def test_residuals_are_no_larger_than_before():
+def residual_inputs():
+    """(name, sheets, complex, cocycle) of each input of RESIDUAL_BEFORE."""
     inputs = {f: load_complex(FIXTURES / f"{f}.json") for f in ("circle3", "torus2", "torus3")}
     prod = product(inputs["torus3"][0], inputs["circle3"][0])
     inputs["torus3 x circle3"] = (
@@ -611,15 +612,97 @@ def test_residuals_are_no_larger_than_before():
     for name, gluing in GLUINGS.items():
         mt = mapping_torus(torus_grid(3), torus_grid_map(3, gluing), layers=3)
         inputs[name] = (mt.complex, mt.fiber_cocycle)
-    for (name, sheets), (before, terms) in RESIDUAL_BEFORE.items():
+    for name, sheets in RESIDUAL_BEFORE:
         k, theta = inputs[name]
         if sheets > 1:
             cover = cyclic_cover(k, theta, sheets)
             k, theta = cover.complex, cover.theta_lift
+        yield name, sheets, k, theta
+
+
+def test_residuals_are_no_larger_than_before():
+    for name, sheets, k, theta in residual_inputs():
+        before, terms = RESIDUAL_BEFORE[name, sheets]
         red = reduce(k, theta)
         assert len(red.sizes) == len(before), (name, sheets)
         assert all(a <= b for a, b in zip(red.sizes, before)), (name, sheets, red.sizes)
         assert monomials(red) <= terms, (name, sheets, monomials(red))
+
+
+def top_components(rows):
+    """The components of the dual graph of top rows: two rows are joined
+    through each column that exactly they hold."""
+    holders = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, []).append(r)
+    parent = list(range(len(rows)))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for held in holders.values():
+        if len(held) == 2:
+            parent[find(held[0])] = find(held[1])
+    components = {}
+    for r in range(len(rows)):
+        components.setdefault(find(r), []).append(r)
+    return list(components.values()), holders
+
+
+def test_reduction_heuristics_hold_on_every_residual_input(monkeypatch):
+    # the residual sizes and monomial counts do not move when the order of
+    # the free rows, a row's live count, the choice of a component's root or
+    # an empty row's weight changes; these pins do
+    eliminate, walk = twisted._eliminate, twisted._dual_forest
+    seen = {"several free rows": 0, "walks": 0, "weights from degree 0": 0}
+
+    def checked_eliminate(rows, ncols):
+        free = [r for r, row in enumerate(rows) if len(row) == 1]
+        pivots, live = eliminate(rows, ncols)
+        # free rows are taken lowest first
+        if free:
+            assert pivots[0][0] == free[0]
+        seen["several free rows"] += len(free) > 1
+        # each unpaired row's live count is a recount of its live entries
+        dead = {a for _, a, _ in pivots}
+        for r, row in enumerate(rows):
+            if row is not None:
+                assert live[r] == sum(c not in dead for c in row), r
+        return pivots, live
+
+    def checked_walk(rows, ncols, weight):
+        components, holders = top_components(rows)
+        pivots = walk(rows, ncols, weight)
+        # each component keeps its highest-numbered row as root: the row
+        # left in place, or the one paired with a column no other row holds
+        roots = {r for r, row in enumerate(rows) if row is not None}
+        roots |= {r for r, c, _ in pivots if len(holders[c]) == 1}
+        assert roots == {max(component) for component in components}
+        seen["walks"] += 1
+        weights.append(weight)
+        return pivots
+
+    monkeypatch.setattr(twisted, "_eliminate", checked_eliminate)
+    monkeypatch.setattr(twisted, "_dual_forest", checked_walk)
+    for name, sheets, k, theta in residual_inputs():
+        weights = []
+        reduce(k, theta)
+        if k.dim == 2:
+            # the walk's weights are the entries delta_0's rows keep once
+            # degree 0 is paired: none on a tree edge, and on another edge
+            # one unless its loop has holonomy 0, so the walk claims no column
+            # whose row is empty
+            f, _, tree = _forest(k, theta)
+            keeps = [
+                int(i not in tree and theta.values[e] - f[e[1]] != -f[e[0]])
+                for i, e in enumerate(k.edges)
+            ]
+            assert weights == [keeps], (name, sheets)
+            seen["weights from degree 0"] += 0 in keeps
+    assert all(seen.values()), seen
 
 
 def test_float_residual_rounding_noise_is_not_rank():

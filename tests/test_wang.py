@@ -22,7 +22,7 @@ from novikov.constructions import (
     torus_grid,
     torus_grid_map,
 )
-from novikov.errors import BackendMismatchError, ConstructionError
+from novikov.errors import BackendMismatchError, ConstructionError, NumericalError
 from novikov.scalars import _FLOAT, _NF, Matrix, NumberFieldElement, parse_scalar
 from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, twisted_coboundary
@@ -412,6 +412,94 @@ def test_wang_dims_ranks_through_the_two_kernels(monkeypatch):
         calls.clear()
         assert wang_dims(action, lam).dims == dims
         assert calls == ["_arithmetic"], lam
+
+
+# The dense-diagonal route wang_dims took before its blocks went through
+# scalars._rank, kept as the declared reference: a float block is made a
+# dense complex array, lambda is subtracted on its diagonal in numpy, and the
+# array goes straight to _float_rank.
+
+
+def reference_wang(action, lam, backend=None):
+    """(dims, the arrays given to _float_rank) by the dense-diagonal route."""
+    entries = scalars._join(block.backend for block in action.matrices)
+    lam, backend, tol = scalars._arithmetic(lam, entries, backend=backend)
+    nulls, arrays = [], []
+    for p, block in enumerate(action.matrices):
+        if backend == _FLOAT:
+            shifted = block.to_numpy()  # NumericalError for an exact entry past the float range
+            with np.errstate(over="ignore", invalid="ignore"):
+                shifted.flat[:: block.nrows + 1] -= lam
+            if not np.isfinite(shifted).all():
+                raise NumericalError(f"degree {p} block minus lambda leaves the float range")
+            arrays.append(shifted)
+            rank = scalars._float_rank(shifted, tol)[0]
+        else:
+            rank = scalars._exact_rank_columns(
+                {j: v - lam if i == j else v for j, v in enumerate(row)}
+                for i, row in enumerate(block.rows())
+            )
+        nulls.append(block.nrows - rank)
+    return tuple(a + b for a, b in zip(nulls + [0], [0] + nulls)), arrays
+
+
+# each kind of entry has a value past the float range or one a lambda can push past it
+EXACT_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.sampled_from((1, -1, 2, 10**400)),
+)
+FLOAT_ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1.7e308)), st.floats(-4, 4)
+)
+ENTRIES = {
+    "exact": EXACT_ENTRIES,
+    "float": FLOAT_ENTRIES,
+    "complex": st.builds(complex, FLOAT_ENTRIES, FLOAT_ENTRIES),
+}
+
+
+@st.composite
+def fiber_actions(draw):
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 3))
+        entries = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+        blocks.append(Matrix(n, n, draw(st.lists(entries, min_size=n * n, max_size=n * n))))
+    return FiberCohomologyAction(blocks)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    action=fiber_actions(),
+    lam=st.one_of(
+        st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(5, 7))),
+        st.sampled_from((2.0, 0.625, -1 + 0.5j, 1.0, 1e-3, 1e200, -3.7, -1.7e308)),
+        st.floats(-4, 4).filter(bool),
+    ),
+    backend=st.sampled_from((None, "float")),
+)
+def test_wang_dims_matches_the_dense_diagonal_reference(action, lam, backend):
+    try:
+        want, want_arrays = reference_wang(action, lam, backend)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            wang_dims(action, lam, backend=backend)
+        return
+    got_arrays = []
+    float_rank = scalars._float_rank
+
+    def recording(a, *args):
+        got_arrays.append(a.copy())
+        return float_rank(a, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalars, "_float_rank", recording)
+        got = wang_dims(action, lam, backend=backend)
+    assert got.dims == want
+    assert [(a.shape, a.dtype, a.tobytes()) for a in got_arrays] == [
+        (a.shape, a.dtype, a.tobytes()) for a in want_arrays
+    ]
 
 
 def test_pullback_is_cochain_map():
