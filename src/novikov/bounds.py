@@ -11,7 +11,7 @@ Three families live here, plain numerics on ``math`` and ``numpy``:
   its derivative in x from one pass, under safeguarded Newton in log-log
   coordinates from a bracket known in closed form, closed down to adjacent
   floats by bisection; 4-9 passes per root where bisection alone took 49-63.
-  The root is refused (NumericalError) past 10**4 panels or a 1e-12 residual.
+  The root is refused (NumericalError) past 10**6 panels or a 1e-12 residual.
 * ``b_n(n, x)`` evaluates the infinite product
   prod_{i>=0} (1 + x nu^i (2 nu^i - 1)^{-1/2})^{2 nu^{-i}} with
   nu = n/(n-2), truncated once the log-increment drops below 1e-12.  The
@@ -42,7 +42,7 @@ from .errors import NumericalError
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _ROOT_TOL = 1e-12  # bound on |x * integral - omega_n| at the returned C(b)
-_MAX_PANELS = 10_000  # per pass, 1.6 MB a node array; the tests reach 3991
+_MAX_PANELS = 10**6  # per pass: 160 MB a node array, about 1.1 GB at peak
 _PRODUCT_CUT = 1e-12  # B_n stops at the first log-increment below this
 _SERIES_FROM = 64  # wallis(n) leaves the recurrence for its asymptotic series here
 

@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -184,13 +185,15 @@ def test_bounds_root_near_the_largest_double():
 def test_bounds_refuses_a_root_past_the_panel_cap():
     # n = 10**13 at b = 1e-5 passes the overflow check, and its quadrature
     # would take 10**8 panels, a 15 GiB node array; the child runs with its
-    # address space capped at 2 GiB, so that an allocation fails fast
+    # address space capped at 2 GiB, so that an allocation fails fast, and
+    # with one BLAS thread, so that loading numpy stays far below the cap
     def capped():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     proc = subprocess.run(
         [sys.executable, "-m", "novikov.cli", "bounds", "--n", "10000000000000", "--b", "1e-5"],
         capture_output=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=capped,
     )
     assert proc.returncode == 3, proc.stderr.decode()
