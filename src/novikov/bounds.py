@@ -136,9 +136,16 @@ def _root_integral(n: int, b: float, x: float) -> tuple[float, float]:
     panels = math.ceil(span)
 
     def integrands(t):
-        s = x * np.sinh(t)
-        f = np.cosh(t) + s
-        return np.array((f ** (n - 1), f ** (n - 2) * s))
+        # both integrands written into one array, so neither is copied
+        out = np.empty((2, *t.shape))
+        s = np.sinh(t)
+        s *= x
+        f = np.cosh(t)
+        f += s
+        np.power(f, n - 1, out=out[0])
+        np.power(f, n - 2, out=out[1])
+        out[1] *= s
+        return out
 
     with np.errstate(over="ignore", invalid="ignore"):
         total, slope = _gauss_legendre(integrands, b, panels).tolist()

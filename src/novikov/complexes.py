@@ -5,8 +5,9 @@ faces; every vertex below vertex_count is a 0-simplex even when isolated.
 A complex stores only its vertex count and its simplex tables, one
 lexicographically sorted tuple per dimension: the sort fixes the row/column
 order of every matrix derived from the complex, and a lookup bisects it.
-Nothing derived is stored; the one assembly that needs face positions,
-``twisted._rows``, maps the level it reads.  Instances are immutable.
+Nothing derived is stored; the two assemblies that need face positions,
+``twisted._rows`` and Hodge's face table, map the levels they read on each
+call.  Instances are immutable.
 """
 
 from __future__ import annotations

@@ -15,7 +15,13 @@ number-field lambda and raises NumericalError past the float range.
 
 Every product reads the scaled coboundaries
 A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}, built in one helper, ``_scaled``,
-as their nonzero entries: a row of A_q holds q + 2 of them.  In the
+as their nonzero entries: a row of A_q holds q + 2 of them.  They are
+assembled in numpy from a face table made per call: each level the degrees
+read as an int64 array, and each face found by ``np.searchsorted`` on
+integer keys (``_positions``), with one transport weight per distinct
+exponent.  ``twisted._coboundary_rows``, the dict rows that ``reduce``,
+Wang and ``twisted_coboundary`` read, writes the same entries and is the
+declared cross-check: the tests hold the two to the same bytes.  In the
 coordinates W_p^{1/2} x the weighted metric is the plain one, the
 adjoint is A^H, and W_p^{1/2} Lap_p W_p^{-1/2} = A_p^H A_p + A_{p-1} A_{p-1}^H,
 whose two terms have orthogonal ranges since delta_p delta_{p-1} = 0.  So
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -140,26 +147,102 @@ def _require_finite(what: str, *arrays) -> None:
         raise NumericalError(f"{what} leaves the float range")
 
 
+def _level(k, p) -> np.ndarray:
+    """Level p of k as an int64 array, one row of p + 1 vertices per simplex."""
+    level = k.simplices[p]
+    flat = np.fromiter(chain.from_iterable(level), np.int64, len(level) * (p + 1))
+    return flat.reshape(-1, p + 1)
+
+
+def _positions(keys, faces, n) -> np.ndarray:
+    """Positions of simplices of k in their sorted level; faces[j] holds
+    vertex j of each.
+
+    Vertex v is 0-simplex v.  A longer simplex's key is its prefix face's
+    position times n = vertex_count plus its last vertex: ``keys[j]``, level
+    j's keys, increase, and each is below n_{j-1} n, which fits in int64
+    for any complex that fits in memory, where a radix key n**(j+1) need not.
+    """
+    pos = faces[0]
+    for j in range(1, len(faces)):
+        pos = np.searchsorted(keys[j], pos * n + faces[j])
+    return pos
+
+
+def _coboundary(k, theta, weight, q, levels, keys) -> tuple:
+    """delta_q, 0 <= q <= dim, as its nonzero entries (rows, cols, vals).
+
+    Row i is (q+1)-simplex tau = levels[q + 1][i], and its entries come in
+    face order: face 0, tau without its leading vertex, carries
+    weight(theta(tau0, tau1)), and face j >= 1 the sign (-1)**j.  Sorted
+    rows have nondecreasing leading edges, so ``weight`` is called once per
+    distinct exponent, in row order, on the edges the rows read and on no
+    other.  vals is float64 when no weight has an imaginary part.
+    """
+    if q == k.dim:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0)
+    tau = levels[q + 1]
+    m, width = tau.shape
+    n = k.vertex_count
+    # the vertices each face keeps: combinations drop the last vertex first.
+    # Faces are looked up one face at a time, down the rows, where their
+    # keys come nearly sorted
+    keep = np.array(list(combinations(range(width), width - 1))[::-1])
+    faces = tau.T[keep.T].reshape(width - 1, -1)
+    cols = _positions(keys, faces, n).reshape(width, m).T.ravel()
+    edges, spread = k.edges, slice(None)  # delta_0's rows are the edges
+    if q:  # each distinct leading edge once
+        lead = tau[:, 0] * n + tau[:, 1]
+        new = np.ones(m, dtype=bool)
+        np.not_equal(lead[1:], lead[:-1], out=new[1:])
+        edges = map(edges.__getitem__, np.searchsorted(keys[1], lead[new]).tolist())
+        spread = np.cumsum(new) - 1
+    exponents = list(map(theta.values.__getitem__, edges))
+    # in row order, so that the first weight to fail is the dict rows' first
+    powers = dict.fromkeys(exponents)
+    for x in powers:
+        powers[x] = weight(x)
+    lead_w = np.array(list(map(powers.__getitem__, exponents)), dtype=complex)[spread]
+    if not lead_w.imag.any():
+        lead_w = lead_w.real
+    vals = np.empty((m, width), dtype=lead_w.dtype)
+    vals[:, 0] = lead_w
+    vals[:, 1::2] = -1.0
+    vals[:, 2::2] = 1.0
+    rows = np.repeat(np.arange(m, dtype=np.intp), width)
+    return rows, cols, vals.reshape(-1)
+
+
 def _scaled(k, theta, lam, w: InnerProduct, what: str, *degrees) -> list[tuple]:
     """The scaled coboundaries A_q = W_{q+1}^{1/2} delta_q W_q^{-1/2}.
 
     The one place the inner product enters an operator.  Each A_q comes back
     as its nonzero entries, ``(shape, rows, cols, vals)``, and no dense array
-    is allocated.  Each delta_q is assembled once, and all its entries are
-    read before any is scaled: A_q's values are float64 when none of them
-    has a nonzero imaginary part, complex otherwise.  Outside degrees 0..dim
-    delta is the zero map, with no entries.
+    is allocated.  Each delta_q is assembled once, by ``_coboundary``, from
+    one face table per call: the levels the degrees read as int64 arrays
+    and the sorted keys of ``_positions``.  A_q's values are float64 when
+    none of delta_q's entries has a nonzero imaginary part, complex
+    otherwise.  Outside degrees 0..dim delta is the zero map, with no
+    entries.
     """
     lam = twisted._local_system(k, theta, lam, backend="float")[0]
+    weight = twisted._weight(lam)
+    # the face table: levels 1..top, and the keys of those that hold faces
+    top, n = min(max(degrees) + 1, k.dim), k.vertex_count
+    levels = [None] + [_level(k, p) for p in range(1, top + 1)]
+    keys = [None]
+    for level in levels[1:top]:
+        keys.append(_positions(keys, level.T[:-1], n) * n + level[:, -1])
     scaled = []
     for q in degrees:
-        # read through the module at call time: the one assembly in twisted
-        rows = twisted._coboundary_rows(k, theta, lam, q) if 0 <= q <= k.dim else []
-        r = np.array([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
-        c = np.array([j for row in rows for j in row], dtype=np.intp)
-        vals = np.array([v for row in rows for v in row.values()], dtype=complex)
+        if 0 <= q <= k.dim:
+            r, c, vals = _coboundary(k, theta, weight, q, levels, keys)
+        else:
+            r = c = np.zeros(0, dtype=np.intp)
+            vals = np.zeros(0)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = (vals if vals.imag.any() else vals.real) * np.sqrt(w.vector(q + 1))[r]
+            vals = vals * np.sqrt(w.vector(q + 1))[r]
             vals /= np.sqrt(w.vector(q))[c]
         scaled.append(((k.n_simplices(q + 1), k.n_simplices(q)), r, c, vals))
     _require_finite(what, *(vals for *_, vals in scaled))

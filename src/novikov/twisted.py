@@ -35,9 +35,12 @@ column by a monomial, ``_power`` evaluates what is left, and
 through singular values for float lambda.  The reduction and its
 evaluation are pure Python; every dense array is built in ``scalars`` or
 ``hodge``.  ``betti_profile`` is ``reduce`` plus one ``Reduction.profile``.
-One face rule, ``_rows``, writes every coboundary entry:
-over Z[t, 1/t] for ``reduce``, and at lambda for Hodge, Wang and
+One face rule, ``_rows``, writes the coboundary entries of this module and
+of Wang: over Z[t, 1/t] for ``reduce``, and at lambda for Wang and
 ``twisted_coboundary``, which read the full assembly ``_coboundary_rows``.
+Hodge builds its scaled coboundaries as numpy arrays from a face table of
+its own, and ``_coboundary_rows`` is the declared cross-check of those
+arrays: the tests hold the two to the same bytes.
 All functions are pure and safe to call from concurrent readers; results
 depend only on their arguments.
 """
@@ -95,18 +98,22 @@ def _local_system(k, theta, lam, backend=None, tolerance=None):
 def _rows(k: SimplicialComplex, theta: OneCocycle, p: int, power, signs, dropped=()):
     """delta_p as sparse rows, one {column: entry} dict per (p+1)-simplex.
 
-    This is the one face rule of the twisted coboundary.  Face 0 of tau
+    This is the face rule of ``reduce``, Wang and ``twisted_coboundary``,
+    and the declared cross-check of Hodge's array assembly.  Face 0 of tau
     carries power(theta(tau0, tau1)), the transport along the leading edge,
     which is increasing, so its value is the stored one; face i carries
     signs[i % 2], the sign (-1)**i.  Columns in ``dropped`` are left out.
-    The complex stores no positions, so level p is mapped here, once.
+    The complex stores no positions, so level p is mapped here, once;
+    delta_dim has no rows and maps none.
     """
     if p < 0 or p > k.dim:
         raise ValueError(f"degree {p} out of range for dim {k.dim}")
+    if p == k.dim:
+        return []
     index = {s: i for i, s in enumerate(k.simplices[p])}
     values = theta.values
     rows = []
-    for tau in k.simplices[p + 1] if p < k.dim else ():
+    for tau in k.simplices[p + 1]:
         row = {}
         c = index[tau[1:]]
         if c not in dropped:

@@ -6,8 +6,8 @@ arrays of the matrix entries, so Fraction and number-field arithmetic stays
 exact.  ``boundary`` is the simplicial boundary operator and ``coboundary``
 the twisted coboundary, both built straight from their formulas on the
 sorted simplex tables, independent of the face rule ``novikov.twisted._rows``
-that writes every coboundary of the package; ``coboundary`` is the declared
-cross-check of that assembly.  ``dense_route_dims`` is the full route to the
+that writes the coboundaries of ``reduce``, Wang and ``twisted_coboundary``;
+``coboundary`` is the declared cross-check of that assembly.  ``dense_route_dims`` is the full route to the
 twisted Betti numbers, the declared cross-check of ``betti_profile``: it
 ranks every coboundary of the whole complex at lambda, where ``betti_profile`` ranks the
 residual of ``novikov.twisted.reduce``.  ``adjoint`` and ``laplacian`` are
@@ -18,9 +18,11 @@ cross-check of ``novikov.hodge``, which reads only the scaled coboundaries
 and solves two Gram pieces of them, in real arithmetic when every
 coboundary entry is real.  ``dense_gram`` is the product over the whole
 of one scaled coboundary, the declared cross-check of ``novikov.hodge._gram``,
-which sums only the products within each row or column.
-``_coboundary_array`` is the dense complex coboundary every cross-check
-reads.
+which sums only the products within each row or column.  ``rows_scaled``
+reads Hodge's scaled coboundaries off the dict rows of ``_coboundary_rows``:
+the declared cross-check of ``novikov.hodge._scaled``, which builds them as
+arrays from a face table.  ``_coboundary_array`` is the dense complex
+coboundary every cross-check reads.
 """
 
 from fractions import Fraction
@@ -97,6 +99,27 @@ def _coboundary_array(k, theta, lam, p: int) -> np.ndarray:
             vals += row.values()
         a[rows, cols] = vals
     return a
+
+
+def rows_scaled(k, theta, lam, w, *degrees) -> list[tuple]:
+    """``novikov.hodge._scaled``'s pieces ``(shape, rows, cols, vals)`` read
+    off the dict rows of ``_coboundary_rows``, unchecked: the declared
+    cross-check of Hodge's array assembly, which must match it byte for
+    byte.  Entries come row by row in face order; vals is float64 when no
+    entry of delta_q has an imaginary part, and is scaled by
+    w_{q+1}^{1/2} / w_q^{1/2} in that order of operations."""
+    lam = _local_system(k, theta, lam, backend="float")[0]
+    pieces = []
+    for q in degrees:
+        rows = _coboundary_rows(k, theta, lam, q) if 0 <= q <= k.dim else []
+        r = np.array([i for i, row in enumerate(rows) for _ in row], dtype=np.intp)
+        c = np.array([j for row in rows for j in row], dtype=np.intp)
+        vals = np.array([v for row in rows for v in row.values()], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = (vals if vals.imag.any() else vals.real) * np.sqrt(w.vector(q + 1))[r]
+            vals /= np.sqrt(w.vector(q))[c]
+        pieces.append(((k.n_simplices(q + 1), k.n_simplices(q)), r, c, vals))
+    return pieces
 
 
 def adjoint(k, theta, lam, p: int, w) -> np.ndarray:

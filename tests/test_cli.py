@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from novikov import cli, twisted
+from novikov import cli, hodge
 from novikov.bounds import small_b_limit
 from novikov.serialization import file_digest
 from test_twisted import count_reductions
@@ -420,18 +420,18 @@ def test_hodge_builds_each_operator_once(monkeypatch, capsys):
     # are each assembled once and each Gram piece is solved once, on its
     # smaller side
     solves, degrees = [], []
-    eigvalsh, assemble = np.linalg.eigvalsh, twisted._coboundary_rows
+    eigvalsh, assemble = np.linalg.eigvalsh, hodge._coboundary
 
     def solving(a):
         solves.append(a.shape[0])
         return eigvalsh(a)
 
-    def assembling(k, theta, lam, p):
+    def assembling(k, theta, weight, p, *table):
         degrees.append(p)
-        return assemble(k, theta, lam, p)
+        return assemble(k, theta, weight, p, *table)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", solving)
-    monkeypatch.setattr(twisted, "_coboundary_rows", assembling)
+    monkeypatch.setattr(hodge, "_coboundary", assembling)
     argv = ["hodge", "--complex", str(FIXTURES / "torus3.json")]
     assert cli.main(argv + ["--lambda", "1.0", "--lambda", "-1+0.5j"]) == 0
     assert solves == [27, 189, 162] * 2

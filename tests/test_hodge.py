@@ -1,4 +1,6 @@
+import functools
 import random
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,7 +17,13 @@ from novikov.cocycles import (
     zero_cocycle,
 )
 from novikov.complexes import SimplicialComplex, circle, point
-from novikov.constructions import cyclic_cover, product, torus_grid
+from novikov.constructions import (
+    cyclic_cover,
+    mapping_torus,
+    product,
+    torus_grid,
+    torus_grid_map,
+)
 from novikov.errors import BackendMismatchError, IncompleteCocycleError, NumericalError
 from novikov import hodge
 from novikov.hodge import (
@@ -32,7 +40,8 @@ from novikov.scalars import parse_scalar
 from novikov.serialization import load_complex
 from novikov.twisted import betti_profile, twisted_coboundary
 
-from dense_reference import adjoint, complex_hodge_spectrum, dense_gram, laplacian
+from dense_reference import adjoint, complex_hodge_spectrum, dense_gram, laplacian, rows_scaled
+from test_twisted import GLUINGS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -334,13 +343,13 @@ def test_degenerate_degrees():
 def test_each_coboundary_is_assembled_once_per_call(monkeypatch):
     k, theta = torus_fixture()
     degrees = []
-    assemble = twisted._coboundary_rows
+    assemble = hodge._coboundary
 
-    def counting(k_, theta_, lam, p):
+    def counting(k_, theta_, weight, p, *table):
         degrees.append(p)
-        return assemble(k_, theta_, lam, p)
+        return assemble(k_, theta_, weight, p, *table)
 
-    monkeypatch.setattr(twisted, "_coboundary_rows", counting)
+    monkeypatch.setattr(hodge, "_coboundary", counting)
     for p in range(k.dim + 1):
         expected = [p - 1, p] if p else [0]
         degrees.clear()
@@ -451,6 +460,91 @@ def test_spectrum_matches_complex_reference(shape, lam, seed):
         assert (gap is None) == (ref_gap is None)
         if gap is not None:
             assert abs(gap - ref_gap) <= 1e-9 * ref_gap
+
+
+@functools.cache
+def face_table_inputs():
+    """(name, complex, closed cocycle, inner product) of the byte-for-byte
+    comparison of ``_scaled`` with the dict rows, seeded."""
+    rng = random.Random(33)
+    pairs = []
+    for name in ("circle3", "torus2", "torus3"):
+        pairs.append((name, *load_complex(FIXTURES / f"{name}.json")))
+    k, theta = pairs[-1][1:]
+    for sheets in (2, 3):
+        cover = cyclic_cover(k, theta, sheets)
+        pairs.append((f"{sheets}-sheet cover", cover.complex, cover.theta_lift))
+    for name, gluing in GLUINGS.items():
+        mt = mapping_torus(torus_grid(3), torus_grid_map(3, gluing), layers=3)
+        pairs.append((name, mt.complex, mt.fiber_cocycle))
+    circle3, gamma = load_complex(FIXTURES / "circle3.json")
+    pc = product(k, circle3)
+    pairs.append(("torus3 x circle3", pc.complex, pc.combine_cocycles(theta, gamma)))
+    real = OneCocycle({e: 0.37 * x for e, x in theta.values.items()}, mode="float")
+    pairs.append(("harmonic 0.37 theta", k, harmonic_representative(k, real)))
+    cases = [(name, kk, tt, InnerProduct(kk)) for name, kk, tt in pairs]
+    cases.append(("weighted torus3", k, theta, random_weights(k, rng)))
+    # 1000**7 > 2**63: a radix key of a 6-simplex would overflow int64
+    vertices = (0, 3, 141, 500, 501, 998, 999)
+    k = SimplicialComplex.build([vertices], vertex_count=1000)
+    f = ZeroCochain({v: rng.randrange(-3, 4) for v in vertices})
+    cases.append(("6-simplex", k, gauge_transform(zero_cocycle(k), f), random_weights(k, rng)))
+    return cases
+
+
+def assert_scaled_like_rows(k, theta, lam, w, *degrees):
+    """``_scaled`` against the dict rows: the same bytes, or the same error."""
+    try:
+        expected = rows_scaled(k, theta, lam, w, *degrees)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError, match=re.escape(str(exc))):
+            hodge._scaled(k, theta, lam, w, "scaling", *degrees)
+        return
+    if not all(np.isfinite(vals).all() for *_, vals in expected):
+        with pytest.raises(NumericalError, match="scaling leaves the float range"):
+            hodge._scaled(k, theta, lam, w, "scaling", *degrees)
+        return
+    got = hodge._scaled(k, theta, lam, w, "scaling", *degrees)
+    assert len(got) == len(expected)
+    for q, (mine, theirs) in zip(degrees, zip(got, expected)):
+        assert mine[0] == theirs[0], q
+        for a, b in zip(mine[1:], theirs[1:]):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), q
+            assert a.tobytes() == b.tobytes(), q
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.625, 1.0, -1.01, -2.0, -1 + 0.5j, 1e6])
+def test_scaled_matches_the_dict_rows_byte_for_byte(lam):
+    # every degree at once, and each one-degree window of ``laplacian_spectrum``,
+    # whose face table stops lower
+    for name, k, theta, w in face_table_inputs():
+        assert_scaled_like_rows(k, theta, lam, w, *range(-1, k.dim + 2))
+        for p in range(k.dim + 1):
+            assert_scaled_like_rows(k, theta, lam, w, p - 1, p)
+
+
+def test_scaled_reads_only_the_leading_edges_like_the_dict_rows():
+    def both_refuse(k, theta, degrees, exponent):
+        message = f"lambda\\*\\*theta = 10.0\\*\\*{exponent} leaves the float range"
+        with pytest.raises(NumericalError, match=message):
+            rows_scaled(k, theta, 10.0, InnerProduct(k), *degrees)
+        with pytest.raises(NumericalError, match=message):
+            hodge._scaled(k, theta, 10.0, InnerProduct(k), "scaling", *degrees)
+
+    # A_1 of a triangle reads the weight of its leading edge (0, 1) alone,
+    # and A_0 reads every edge
+    k = SimplicialComplex.build([(0, 1, 2)])
+    off_lead = OneCocycle({(0, 1): 0, (0, 2): 1000, (1, 2): 1000})
+    assert_scaled_like_rows(k, off_lead, 10.0, InnerProduct(k), 1, 2)
+    assert np.isfinite(laplacian_spectrum(k, off_lead, 10.0, 2)).all()
+    both_refuse(k, off_lead, (0,), 1000)
+    both_refuse(k, off_lead, (-1, 0, 1, 2), 1000)
+    lead = OneCocycle({(0, 1): 1000, (0, 2): 1000, (1, 2): 0})
+    both_refuse(k, lead, (1, 2), 1000)
+    with pytest.raises(NumericalError, match="float range"):
+        laplacian_spectrum(k, lead, 10.0, 2)
+    # of two exponents past the float range, both routes name the first row's
+    both_refuse(circle(3), OneCocycle({(0, 1): 2000, (0, 2): 1000, (1, 2): 0}), (0,), 2000)
 
 
 def test_real_entries_choose_real_arithmetic():
